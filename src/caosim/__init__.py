@@ -36,6 +36,7 @@ from .gaussian import (
     LIGHT_DAG,
     GaussianState,
     OpticalInit,
+    coherent_states,
     evolve,
     initial_state,
     moment4,
@@ -46,11 +47,9 @@ from .observables import (
     CorrelationRecord,
     LongTimePolicy,
     OscillationSummary,
-    bounds,
     correlation_record,
-    g2_cross,
-    g2_single,
     long_time_g2,
+    records,
     threshold_g2,
 )
 from .fock import (

@@ -16,28 +16,24 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
 from .errors import (
     CaosimError,
     InvalidParameterError,
-    NonConvergenceError,
     PropagatorOverflowError,
     TruncationError,
-    UndefinedCorrelationError,
 )
 from .fock import oracle_records
-from .gaussian import OpticalInit, evolve, initial_state
-from .model import ModelParams, Regime, build_generator, classify_regime
+from .gaussian import OpticalInit, coherent_states, evolve, initial_state
+from .model import ModelParams, build_generator, classify_regime
 from .observables import (
     CorrelationRecord,
-    LongTimePolicy,
     correlation_record,
     long_time_g2,
+    records,
     threshold_g2,
 )
 from .propagator import green_function
@@ -120,7 +116,10 @@ def _coerce(raw, fallback):
             return float(raw)
         except ValueError:
             return raw
-    return type(fallback)(raw)
+    try:
+        return type(fallback)(raw)
+    except ValueError as exc:
+        raise InvalidParameterError(str(exc)) from None
 
 
 def _resolve(args, defaults):
@@ -161,29 +160,17 @@ def _apply_preset(args):
             setattr(args, key, value)
 
 
-def _record_row(rec: CorrelationRecord):
-    return [
-        rec.t,
-        rec.n1,
-        rec.n3,
-        rec.g11,
-        rec.g33,
-        rec.g13,
-        rec.classical_bound,
-        rec.quantum_bound,
-    ]
+def _amplitudes(alpha2):
+    """|alpha| for an intensity, or a grid of them, checked finite and >= 0."""
+    alpha2 = np.asarray(alpha2, dtype=float)
+    bad = alpha2[~((0.0 <= alpha2) & (alpha2 < math.inf))]
+    if bad.size:
+        raise InvalidParameterError(f"alpha2 must be finite and >= 0, got {bad[0]}")
+    return np.sqrt(alpha2)
 
 
-RECORD_HEADER = [
-    "t",
-    "n1",
-    "n3",
-    "g11",
-    "g33",
-    "g13",
-    "classical_bound",
-    "quantum_bound",
-]
+RECORD_HEADER = CorrelationRecord.field_names()
+SWEEP_HEADER = ["alpha2", "phi", *RECORD_HEADER[3:]]
 
 
 def cmd_classify(args, out):
@@ -239,8 +226,7 @@ def cmd_evolve(args, out):
     if args.steps < 1:
         raise InvalidParameterError(f"steps must be >= 1, got {args.steps}")
     gen = build_generator(ModelParams(args.delta, args.chi))
-    init = OpticalInit(math.sqrt(args.alpha2), args.phi)
-    s0 = initial_state(init)
+    s0 = initial_state(OpticalInit(_amplitudes(args.alpha2), args.phi))
     rows = []
     footer = []
     overflowed = False
@@ -251,7 +237,7 @@ def cmd_evolve(args, out):
             footer.append(f"overflow at t={_fmt(t)}")
             overflowed = True
             break
-        rows.append(_record_row(rec))
+        rows.append([getattr(rec, name) for name in RECORD_HEADER])
     if args.json:
         _emit_json(
             out,
@@ -271,43 +257,6 @@ def cmd_evolve(args, out):
     return EXIT_NUMERICAL if overflowed else EXIT_OK
 
 
-def _sweep_cell(task):
-    """One grid cell; module-level so process pools can pickle it."""
-    delta, chi, alpha2, phi, policy, t_fixed = task
-    params = ModelParams(delta, chi)
-    init = OpticalInit(math.sqrt(alpha2), phi)
-    try:
-        if policy == "fixed":
-            gen = build_generator(params)
-            rec = correlation_record(
-                evolve(initial_state(init), green_function(gen, t_fixed)), t_fixed
-            )
-            return [alpha2, phi, rec.g11, rec.g33, rec.g13,
-                    rec.classical_bound, rec.quantum_bound]
-        g11 = long_time_g2(params, init, "atomic")
-        g33 = long_time_g2(params, init, "optical")
-        g13 = long_time_g2(params, init, "cross")
-        if not all(isinstance(v, float) for v in (g11, g33, g13)):
-            # beating regime: report the oscillation means
-            g11, g33, g13 = (
-                v if isinstance(v, float) else v.mean for v in (g11, g33, g13)
-            )
-        return [alpha2, phi, g11, g33, g13, None, None]
-    except CaosimError:
-        return [alpha2, phi, None, None, None, None, None]
-
-
-SWEEP_HEADER = [
-    "alpha2",
-    "phi",
-    "g11",
-    "g33",
-    "g13",
-    "classical_bound",
-    "quantum_bound",
-]
-
-
 def cmd_sweep(args, out):
     _apply_preset(args)
     args = _resolve(
@@ -323,7 +272,6 @@ def cmd_sweep(args, out):
             "phi_count": 16,
             "time_policy": "fixed",
             "t": 8.0,
-            "jobs": os.cpu_count() or 1,
         },
     )
     if args.alpha2_count < 1 or args.phi_count < 1:
@@ -337,16 +285,36 @@ def cmd_sweep(args, out):
     alpha2s = np.linspace(args.alpha2_min, args.alpha2_max, args.alpha2_count)
     phis = np.linspace(args.phi_min, args.phi_max, args.phi_count, endpoint=False) \
         if args.phi_count > 1 else np.array([args.phi_min])
-    tasks = [
-        (args.delta, args.chi, float(a2), float(phi), args.time_policy, args.t)
-        for a2 in alpha2s
-        for phi in phis
-    ]
-    if args.jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_sweep_cell, tasks))
+    params = ModelParams(args.delta, args.chi)
+    amps = _amplitudes(alpha2s)
+    if args.time_policy == "fixed":
+        # G(t) and the fluctuation moments are the same for every cell: one
+        # propagator and one batched record cover the whole grid.
+        try:
+            g = green_function(build_generator(params), args.t)
+        except PropagatorOverflowError:
+            stats = [np.nan] * 5
+        else:
+            rec = records(evolve(coherent_states(amps[:, None], phis), g), args.t)
+            stats = [getattr(rec, name) for name in SWEEP_HEADER[2:]]
+        cells = np.stack(
+            np.broadcast_arrays(alpha2s[:, None], phis, *stats), axis=-1
+        ).reshape(-1, len(SWEEP_HEADER))
+        rows = [[None if math.isnan(v) else v for v in row]
+                for row in cells.tolist()]
     else:
-        rows = [_sweep_cell(task) for task in tasks]
+        rows = []
+        for a2, amp in zip(alpha2s.tolist(), amps.tolist()):
+            for phi in phis.tolist():
+                init = OpticalInit(amp, phi)
+                try:
+                    limits = [long_time_g2(params, init, mode)
+                              for mode in ("atomic", "optical", "cross")]
+                except CaosimError:
+                    limits = [None] * 3
+                else:  # beating regime: report the oscillation means
+                    limits = [v if isinstance(v, float) else v.mean for v in limits]
+                rows.append([a2, phi, *limits, None, None])
     if args.json:
         _emit_json(
             out,
@@ -372,7 +340,7 @@ def cmd_threshold(args, out):
     )
     value = threshold_g2(
         ModelParams(args.delta_c, args.chi),
-        OpticalInit(math.sqrt(args.alpha2), args.phi),
+        OpticalInit(_amplitudes(args.alpha2), args.phi),
         args.delta_c,
     )
     if args.json:
@@ -406,7 +374,12 @@ def cmd_oracle_compare(args, out):
             "dim_cap": None,
         },
     )
-    times = sorted(float(v) for v in str(args.times).split(","))
+    try:
+        times = sorted(float(v) for v in str(args.times).split(","))
+    except ValueError:
+        raise InvalidParameterError(
+            f"times must be comma-separated numbers, got {args.times!r}"
+        ) from None
     late = [t for t in times if t > 3.0]
     comments = []
     if late:
@@ -414,7 +387,7 @@ def cmd_oracle_compare(args, out):
             f"warning: t={late} beyond t=3 may exhaust the oracle truncation"
         )
     params = ModelParams(args.delta, args.chi)
-    init = OpticalInit(math.sqrt(args.alpha2), args.phi)
+    init = OpticalInit(_amplitudes(args.alpha2), args.phi)
     kwargs = {}
     if args.dim_cap is not None:
         from .fock import FockConfig
@@ -531,7 +504,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--time-policy", choices=["fixed", "longtime"],
                    dest="time_policy")
     p.add_argument("--t", type=float, help="time for the fixed policy")
-    p.add_argument("--jobs", type=int, help="worker processes")
+    p.add_argument("--jobs", type=int, help="accepted for compatibility; "
+                   "sweeps run in one process")
     p.add_argument("--preset", choices=sorted(PRESETS))
     _add_common(p)
     p.set_defaults(run=cmd_sweep)
@@ -567,8 +541,7 @@ def main(argv=None, out=None) -> int:
     except InvalidParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (PropagatorOverflowError, NonConvergenceError, TruncationError,
-            UndefinedCorrelationError) as exc:
+    except CaosimError as exc:  # every other package error is numerical
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -8,6 +8,11 @@ generic fourth-moment kernel of the gaussian module:
 
 Classical fields obey g_13 <= sqrt(g_11 g_33); quantum fields may violate
 that bound but never sqrt((g_11 + 1/n_1)(g_33 + 1/n_3)).
+
+:func:`records` evaluates every field at once, elementwise over the batch
+axes of a Gaussian state (a grid of seeds, a stack of times, or none), with
+NaN where a correlator is undefined; :func:`correlation_record` is its view
+of one unbatched state, with ``None`` there instead.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from .gaussian import (
     occupation,
 )
 from .model import ModelParams, Regime, build_generator, classify_regime
-from .propagator import green_function
+from .propagator import Propagator, green_function
 
 #: Occupations below this are treated as zero, making normalized correlators 0/0.
 OCCUPATION_THRESHOLD = 1e-12
@@ -45,10 +50,8 @@ OCCUPATION_THRESHOLD = 1e-12
 #: indicate a bug upstream.
 IMAG_RESIDUE_RTOL = 1e-10
 
-_G2_INDICES = {
-    "atomic": (ATOM_DAG, ATOM_DAG, ATOM, ATOM),
-    "optical": (LIGHT_DAG, LIGHT_DAG, LIGHT, LIGHT),
-}
+#: The record field that each long_time_g2 mode extracts.
+_MODE_FIELDS = {"atomic": "g11", "optical": "g33", "cross": "g13"}
 
 
 @dataclass(frozen=True)
@@ -56,7 +59,8 @@ class CorrelationRecord:
     """Time-stamped bundle of occupations, correlators and both bounds.
 
     A field is ``None`` when the correlator is undefined (0/0 at vanishing
-    occupation, e.g. the atomic mode at t=0).
+    occupation, e.g. the atomic mode at t=0). From :func:`records` the
+    fields are arrays instead, with NaN there.
     """
 
     t: float
@@ -76,79 +80,52 @@ class CorrelationRecord:
         return [f.name for f in fields(cls)]
 
 
-def _real_part(value: complex, label: str) -> float:
-    scale = max(abs(value), 1.0)
-    if abs(value.imag) > IMAG_RESIDUE_RTOL * scale:
+def _numerator(s: GaussianState, indices, norm) -> np.ndarray:
+    """Real part of an ordered fourth moment.
+
+    Its imaginary residue is checked wherever ``norm``, the occupation
+    product it is divided by, is defined (not NaN, so ``norm == norm``).
+    """
+    value = moment4(s, indices)
+    scale = np.maximum(abs(value), 1.0)
+    bad = (abs(value.imag) > IMAG_RESIDUE_RTOL * scale) & (norm == norm)
+    if bad.any():
+        residue = np.max(np.where(bad, abs(value.imag) / scale, 0.0))
         raise ArithmeticError(
-            f"{label} has relative imaginary residue {abs(value.imag) / scale:.3e}"
+            f"moment {indices} has relative imaginary residue {residue:.3e}"
         )
     return value.real
 
 
-def g2_single(
-    s: GaussianState, mode: str, threshold: float = OCCUPATION_THRESHOLD
-) -> float:
-    """Normalized second-order correlation of one mode."""
-    if mode not in _G2_INDICES:
-        raise InvalidParameterError(f"mode must be 'atomic' or 'optical', got {mode!r}")
-    n = occupation(s, mode)
-    if n <= threshold:
-        raise UndefinedCorrelationError(f"g2_{mode}", n, threshold)
-    num = moment4(s, _G2_INDICES[mode])
-    return _real_part(num, f"g2_{mode} numerator") / n**2
+def records(
+    s: GaussianState, t, threshold: float = OCCUPATION_THRESHOLD
+) -> CorrelationRecord:
+    """Every observable of ``s``, elementwise over its batch axes.
 
-
-def g2_cross(s: GaussianState, threshold: float = OCCUPATION_THRESHOLD) -> float:
-    """Equal-time intensity cross-correlation between the two modes."""
+    The fields are arrays of the batch shape (``t`` is passed through), and a
+    correlator is NaN where an occupation it is normalized by is at or below
+    ``threshold`` (0/0).
+    """
     n1 = occupation(s, "atomic")
     n3 = occupation(s, "optical")
-    if n1 <= threshold:
-        raise UndefinedCorrelationError("g2_cross (atomic)", n1, threshold)
-    if n3 <= threshold:
-        raise UndefinedCorrelationError("g2_cross (optical)", n3, threshold)
-    num = moment4(s, (ATOM_DAG, ATOM, LIGHT_DAG, LIGHT))
-    return _real_part(num, "g2_cross numerator") / (n1 * n3)
-
-
-def bounds(
-    s: GaussianState, threshold: float = OCCUPATION_THRESHOLD
-) -> tuple[float, float]:
-    """Classical and quantum upper bounds on the cross-correlation."""
-    n1 = occupation(s, "atomic")
-    n3 = occupation(s, "optical")
-    if n1 <= threshold:
-        raise UndefinedCorrelationError("bounds (atomic)", n1, threshold)
-    if n3 <= threshold:
-        raise UndefinedCorrelationError("bounds (optical)", n3, threshold)
-    g11 = g2_single(s, "atomic", threshold)
-    g33 = g2_single(s, "optical", threshold)
-    classical = math.sqrt(g11 * g33)
-    quantum = math.sqrt((g11 + 1.0 / n1) * (g33 + 1.0 / n3))
-    return classical, quantum
+    # NaN marks an undefined normalization and propagates to every quotient.
+    m1 = np.where(n1 > threshold, n1, np.nan)[()]
+    m3 = np.where(n3 > threshold, n3, np.nan)[()]
+    g11 = _numerator(s, (ATOM_DAG, ATOM_DAG, ATOM, ATOM), m1) / m1**2
+    g33 = _numerator(s, (LIGHT_DAG, LIGHT_DAG, LIGHT, LIGHT), m3) / m3**2
+    g13 = _numerator(s, (ATOM_DAG, ATOM, LIGHT_DAG, LIGHT), m1 * m3) / (m1 * m3)
+    classical = np.sqrt(g11 * g33)
+    quantum = np.sqrt((g11 + 1.0 / m1) * (g33 + 1.0 / m3))
+    return CorrelationRecord(t, n1, n3, g11, g33, g13, classical, quantum)
 
 
 def correlation_record(
     s: GaussianState, t: float, threshold: float = OCCUPATION_THRESHOLD
 ) -> CorrelationRecord:
-    """Evaluate every observable, mapping undefined correlators to None."""
-
-    def _try(fn, *args):
-        try:
-            return fn(*args, threshold)
-        except UndefinedCorrelationError:
-            return None
-
-    both = _try(bounds, s)
-    return CorrelationRecord(
-        t=t,
-        n1=occupation(s, "atomic"),
-        n3=occupation(s, "optical"),
-        g11=_try(g2_single, s, "atomic"),
-        g33=_try(g2_single, s, "optical"),
-        g13=_try(g2_cross, s),
-        classical_bound=both[0] if both else None,
-        quantum_bound=both[1] if both else None,
-    )
+    """Evaluate every observable of one state, mapping undefined correlators to None."""
+    rec = records(s, t, threshold)
+    values = (float(getattr(rec, name)) for name in CorrelationRecord.field_names()[1:])
+    return CorrelationRecord(t, *(None if math.isnan(v) else v for v in values))
 
 
 def threshold_g2(
@@ -211,19 +188,18 @@ class OscillationSummary:
     fixed_t_value: float | None = None
 
 
-def _g2_at(params, init, mode, t, threshold=OCCUPATION_THRESHOLD):
-    gen = build_generator(params)
-    state = evolve(initial_state(init), green_function(gen, t))
-    if mode == "cross":
-        return g2_cross(state, threshold)
-    return g2_single(state, mode, threshold)
-
-
-def _window_values(params, init, mode, t_lo, t_hi, count):
-    return [
-        _g2_at(params, init, mode, t)
-        for t in np.linspace(t_lo, t_hi, count)
-    ]
+def _samples(gen, s0: GaussianState, mode: str, times) -> np.ndarray:
+    """The ``mode`` correlator at each of ``times``, from one batched record."""
+    gmat = np.stack([green_function(gen, float(t)).gmat for t in times])
+    rec = records(evolve(s0, Propagator(t=times, gmat=gmat, generator=gen)), times)
+    values = getattr(rec, _MODE_FIELDS[mode])
+    undefined = np.isnan(values)
+    if np.any(undefined):
+        n = {"atomic": rec.n1, "optical": rec.n3}.get(mode, np.minimum(rec.n1, rec.n3))
+        raise UndefinedCorrelationError(
+            f"g2 {mode}", float(n[undefined][0]), OCCUPATION_THRESHOLD
+        )
+    return values
 
 
 def long_time_g2(
@@ -235,26 +211,33 @@ def long_time_g2(
     """Long-time value of a correlation in the unstable regimes.
 
     Returns a converged scalar in regimes ii and iv, and an
-    :class:`OscillationSummary` in regime iii.
+    :class:`OscillationSummary` in regime iii. Each window's samples are one
+    batched :func:`records` evaluation over its times.
     """
-    if mode not in ("atomic", "optical", "cross"):
+    if mode not in _MODE_FIELDS:
         raise InvalidParameterError(f"unknown mode {mode!r}")
-    report = classify_regime(build_generator(params))
+    gen = build_generator(params)
+    report = classify_regime(gen)
     regime = report.regime
     if regime == Regime.STABLE_I:
         raise InvalidParameterError(
             "long-time extraction requires an unstable regime (ii, iii or iv)"
         )
+    s0 = initial_state(init)
 
     if regime == Regime.BEATING_EXPONENTIAL_III:
         period = 2.0 * math.pi / report.omega
-        values = _window_values(
-            params, init, mode, policy.t_ref, policy.t_ref + period, 65
+        values = _samples(
+            gen, s0, mode, np.linspace(policy.t_ref, policy.t_ref + period, 65)
         )
-        fixed = _g2_at(params, init, mode, policy.fixed_t) if policy.fixed_t else None
+        fixed = (
+            float(_samples(gen, s0, mode, [policy.fixed_t])[0])
+            if policy.fixed_t is not None
+            else None
+        )
         return OscillationSummary(
-            minimum=min(values),
-            maximum=max(values),
+            minimum=float(values.min()),
+            maximum=float(values.max()),
             mean=float(np.mean(values)),
             period=period,
             fixed_t_value=fixed,
@@ -264,8 +247,8 @@ def long_time_g2(
     last = None
     while t <= policy.t_max:
         try:
-            values = _window_values(
-                params, init, mode, t, 2.0 * t, policy.samples_per_window
+            values = _samples(
+                gen, s0, mode, np.linspace(t, 2.0 * t, policy.samples_per_window)
             )
         except PropagatorOverflowError as exc:
             raise NonConvergenceError(
@@ -273,7 +256,7 @@ def long_time_g2(
                 last_window=last,
             ) from exc
         mean = float(np.mean(values))
-        spread = (max(values) - min(values)) / max(abs(mean), 1e-300)
+        spread = float(values.max() - values.min()) / max(abs(mean), 1e-300)
         if regime == Regime.SINGLE_EXPONENTIAL_II:
             if spread < policy.rtol:
                 return mean

@@ -38,7 +38,11 @@ _TO_QUAD = np.linalg.inv(_TO_LADDER)
 
 @dataclass(frozen=True)
 class Propagator:
-    """G(t) for one generator at one time; immutable and freely shareable."""
+    """G(t) for one generator at one time; immutable and freely shareable.
+
+    A stack of propagators at several times is the same object with ``t`` an
+    array of times and ``gmat`` of shape ``[len(t), 4, 4]``.
+    """
 
     t: float
     gmat: np.ndarray

@@ -9,8 +9,17 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from caosim import cli
+from caosim import (
+    PropagatorOverflowError,
+    build_generator,
+    cli,
+    correlation_record,
+    evolve,
+    green_function,
+    initial_state,
+)
 from caosim.observables import threshold_g2
 from caosim.model import ModelParams
 from caosim.gaussian import OpticalInit
@@ -229,3 +238,93 @@ def test_oracle_compare_late_time_warning_comment():
     )
     doc = json.loads(text)
     assert any("beyond t=3" in c for c in doc["comments"])
+
+
+SWEEP_STATS = ("g11", "g33", "g13", "classical_bound", "quantum_bound")
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(
+    delta=st.floats(-3.0, 3.0),
+    chi=st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+    t=st.floats(0.0, 8.0),
+    alpha2_max=st.floats(0.0, 9.0),
+    alpha2_count=st.integers(1, 3),
+    phi_count=st.integers(1, 4),
+)
+def test_fixed_sweep_matches_per_cell_records(
+    delta, chi, t, alpha2_max, alpha2_count, phi_count
+):
+    # the grid always starts at alpha2 = 0, the cell with no optical seed
+    code, text = run_cli(
+        ["sweep", f"--delta={delta!r}", f"--chi={chi!r}",
+         "--alpha2-min", "0", f"--alpha2-max={alpha2_max!r}",
+         "--alpha2-count", str(alpha2_count), "--phi-count", str(phi_count),
+         "--time-policy", "fixed", f"--t={t!r}"]
+    )
+    assert code == cli.EXIT_OK
+    header, rows, _ = parse_csv(text)
+    assert len(rows) == alpha2_count * phi_count
+    gen = build_generator(ModelParams(delta, chi))
+    try:
+        g = green_function(gen, t)
+    except PropagatorOverflowError:
+        g = None
+    for row in rows:
+        alpha2, phi = float(row[0]), float(row[1])
+        if g is None:
+            assert all(row[header.index(name)] == "" for name in SWEEP_STATS)
+            continue
+        rec = correlation_record(
+            evolve(initial_state(OpticalInit(math.sqrt(alpha2), phi)), g), t
+        )
+        for name in SWEEP_STATS:
+            cell, want = row[header.index(name)], getattr(rec, name)
+            if want is None:
+                assert cell == ""
+            else:
+                assert float(cell) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--delta", "1", "--chi", "1", "--alpha2-min", "-1",
+         "--alpha2-count", "2", "--phi-count", "2"],
+        ["evolve", "--delta", "1", "--chi", "1", "--alpha2", "-1"],
+        ["evolve", "--delta", "1", "--chi", "1", "--alpha2", "nan"],
+        ["oracle-compare", "--delta", "1", "--chi", "1", "--times", "0.5,x"],
+    ],
+)
+def test_bad_values_are_usage_errors(argv):
+    code, text = run_cli(argv)
+    assert code == cli.EXIT_USAGE
+    assert text == ""
+
+
+def test_config_value_of_wrong_type_is_usage_error(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("delta = 1\nchi = 1\nsteps = 12.5\n")
+    code, _ = run_cli(["evolve", "--config", str(cfg)])
+    assert code == cli.EXIT_USAGE
+
+
+def test_classification_failure_is_numerical_failure():
+    # near the delta=0 threshold, where classify_regime finds no regime
+    code, _ = run_cli(
+        ["classify", "--delta=-1.2479530186683278e-09",
+         "--chi", "1.2137432172653515"]
+    )
+    assert code == cli.EXIT_NUMERICAL
+
+
+def test_fixed_sweep_overflow_leaves_rows_empty():
+    code, text = run_cli(
+        ["sweep", "--delta", "1", "--chi", "1", "--alpha2-count", "2",
+         "--phi-count", "2", "--t", "400"]
+    )
+    assert code == cli.EXIT_OK
+    header, rows, _ = parse_csv(text)
+    assert len(rows) == 4
+    for row in rows:
+        assert [row[header.index(name)] for name in SWEEP_STATS] == [""] * 5

@@ -12,12 +12,9 @@ from caosim import (
     OpticalInit,
     OscillationSummary,
     UndefinedCorrelationError,
-    bounds,
     build_generator,
     correlation_record,
     evolve,
-    g2_cross,
-    g2_single,
     green_function,
     initial_state,
     long_time_g2,
@@ -40,51 +37,44 @@ def two_mode_thermal(n1, n3):
 
 def test_coherent_light_is_coherent():
     s = initial_state(OpticalInit(1.3, 0.4))
-    assert_allclose(g2_single(s, "optical"), 1.0, rtol=1e-12)
+    assert_allclose(correlation_record(s, 0.0).g33, 1.0, rtol=1e-12)
 
 
 def test_vacuum_atomic_mode_undefined():
     s = initial_state(OpticalInit(1.0, 0.0))
-    with pytest.raises(UndefinedCorrelationError):
-        g2_single(s, "atomic")
+    assert correlation_record(s, 0.0).g11 is None
 
 
 def test_thermal_fluctuations_are_chaotic():
     s = atomic_zero_mean_state(0.8, 0.0)
-    assert_allclose(g2_single(s, "atomic"), 2.0, rtol=1e-12)
+    assert_allclose(correlation_record(s, 0.0).g11, 2.0, rtol=1e-12)
 
 
 def test_cross_undefined_on_product_state():
-    with pytest.raises(UndefinedCorrelationError):
-        g2_cross(initial_state(OpticalInit(2.0, 0.0)))
+    assert correlation_record(initial_state(OpticalInit(2.0, 0.0)), 0.0).g13 is None
 
 
 def test_spontaneous_short_time_violation():
-    s = state_at(1.0, 1.0, 0.0, 0.0, 0.3)
-    classical, quantum = bounds(s)
-    g13 = g2_cross(s)
-    assert g13 > classical
-    assert g13 <= quantum + 1e-9
+    rec = correlation_record(state_at(1.0, 1.0, 0.0, 0.0, 0.3), 0.3)
+    assert rec.g13 > rec.classical_bound
+    assert rec.g13 <= rec.quantum_bound + 1e-9
 
 
 def test_bounds_direct_substitution():
-    s = two_mode_thermal(1.0, 1.0)
-    classical, quantum = bounds(s)
-    assert_allclose(classical, 2.0, rtol=1e-12)
-    assert_allclose(quantum, 3.0, rtol=1e-12)
+    rec = correlation_record(two_mode_thermal(1.0, 1.0), 0.0)
+    assert_allclose(rec.classical_bound, 2.0, rtol=1e-12)
+    assert_allclose(rec.quantum_bound, 3.0, rtol=1e-12)
 
 
 def test_bounds_merge_at_large_intensity():
-    s = two_mode_thermal(1e6, 1e6)
-    classical, quantum = bounds(s)
+    rec = correlation_record(two_mode_thermal(1e6, 1e6), 0.0)
+    classical, quantum = rec.classical_bound, rec.quantum_bound
     assert (quantum - classical) / classical < 1e-5
 
 
 def test_bounds_bracket_cross_correlation():
-    s = state_at(1.0, 1.0, 0.0, 0.0, 0.5)
-    classical, quantum = bounds(s)
-    g13 = g2_cross(s)
-    assert classical < g13 < quantum
+    rec = correlation_record(state_at(1.0, 1.0, 0.0, 0.0, 0.5), 0.5)
+    assert rec.classical_bound < rec.g13 < rec.quantum_bound
 
 
 def test_correlation_record_undefined_fields():
@@ -150,8 +140,8 @@ def test_long_time_regime_ii_constant_and_equal():
     # spontaneous regime-ii limit coincides with the threshold spontaneous value
     assert_allclose(g11, 3.0, atol=1e-6)
     # constancy: the value at a late fixed time agrees
-    s = state_at(1.0, 1.0, 0.0, 0.0, 15.0)
-    assert abs(g2_single(s, "atomic") - g11) < 1e-6
+    rec = correlation_record(state_at(1.0, 1.0, 0.0, 0.0, 15.0), 15.0)
+    assert abs(rec.g11 - g11) < 1e-6
 
 
 def test_long_time_regime_ii_displaced():
@@ -183,6 +173,21 @@ def test_long_time_regime_iii_summary():
     assert summary.minimum <= summary.mean <= summary.maximum
     assert summary.fixed_t_value is not None
     assert summary.period > 0
+
+
+def test_long_time_regime_iii_fixed_time_zero():
+    # fixed_t=0.0 is a request like any other: light is coherent at t=0
+    summary = long_time_g2(
+        ModelParams(-1.0, 1.0), OpticalInit(1.0, 0.0), "optical",
+        LongTimePolicy(fixed_t=0.0),
+    )
+    assert summary.fixed_t_value == pytest.approx(1.0, rel=1e-12)
+    # the atomic mode is empty at t=0, so its g2 there is 0/0
+    with pytest.raises(UndefinedCorrelationError):
+        long_time_g2(
+            ModelParams(-1.0, 1.0), OpticalInit(1.0, 0.0), "atomic",
+            LongTimePolicy(fixed_t=0.0),
+        )
 
 
 def test_long_time_rejects_stable_regime():
