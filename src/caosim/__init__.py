@@ -55,10 +55,8 @@ from .observables import (
 from .fock import (
     FockConfig,
     FockState,
-    build_hamiltonian,
     coherent_fock,
-    diagonalize,
-    evolve_exact,
+    evolve_fock,
     oracle_observables,
     oracle_records,
 )

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -26,7 +27,7 @@ from .errors import (
     PropagatorOverflowError,
     TruncationError,
 )
-from .fock import oracle_records
+from .fock import FockConfig, oracle_records
 from .gaussian import OpticalInit, coherent_states, evolve, initial_state
 from .model import ModelParams, build_generator, classify_regime
 from .observables import (
@@ -388,11 +389,7 @@ def cmd_oracle_compare(args, out):
         )
     params = ModelParams(args.delta, args.chi)
     init = OpticalInit(_amplitudes(args.alpha2), args.phi)
-    kwargs = {}
-    if args.dim_cap is not None:
-        from .fock import FockConfig
-
-        kwargs["cfg"] = FockConfig(dim_cap=int(args.dim_cap))
+    cfg = None if args.dim_cap is None else FockConfig(dim_cap=int(args.dim_cap))
     gen = build_generator(params)
 
     rows = []
@@ -400,7 +397,7 @@ def cmd_oracle_compare(args, out):
     max_dn = 0.0
     max_dg = 0.0
     try:
-        fock_recs, cfg = oracle_records(params, init, times, **kwargs)
+        fock_recs, cfg = oracle_records(params, init, times, cfg)
         comments.append(f"truncation: {cfg.nmax_atom}x{cfg.nmax_phot}")
     except TruncationError as exc:
         comments.append(f"truncation inadequate: {exc}")
@@ -537,7 +534,18 @@ def main(argv=None, out=None) -> int:
     out = out or sys.stdout
     args = build_parser().parse_args(argv)
     try:
-        return args.run(args, out)
+        code = args.run(args, out)
+        out.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed the pipe (``caosim evolve ... | head -1``). Point
+        # stdout at devnull so that the interpreter's final flush cannot
+        # raise again.
+        if out is sys.stdout:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, out.fileno())
+            os.close(devnull)
+        return EXIT_OK
     except InvalidParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -2,8 +2,10 @@
 
 The quadratic atom-photon Hamiltonian (including the counter-rotating
 pair-creation terms, with no rotating-wave simplification) is built as a
-dense real-symmetric matrix on the product basis |n_atom> x |n_phot> and
-diagonalized once; one decomposition then serves every evolution time.
+sparse real-symmetric matrix on the product basis |n_atom> x |n_phot>, and
+its action exp(-i H dt) on the state is applied step by step through the
+sorted evolution times (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488
+(2011), as implemented by scipy's ``expm_multiply``).
 
 Truncation is policed, not assumed: a state is trusted only while the
 population in the top two levels of either mode stays below ``tail_tol``.
@@ -26,11 +28,14 @@ from .gaussian import OpticalInit
 from .model import ModelParams
 from .observables import OCCUPATION_THRESHOLD, CorrelationRecord
 
-DEFAULT_DIM_CAP = 4096
-
-#: The adaptive driver evolves with a sparse Krylov propagator, so it can
-#: afford far larger truncations than the dense-diagonalization path.
-SPARSE_DIM_CAP = 1 << 18
+# Largest 1-norm of one ``expm_multiply`` step. For a single vector, scipy
+# picks its Taylor degree from the exact 1-norm of the trace-shifted matrix
+# when that norm is at most 63.36 (condition 3.13 of Al-Mohy & Higham with
+# m_max=55, l=2). Above it, scipy estimates norms of matrix powers from
+# random starting vectors, and the result changes in its last digits from
+# call to call. Splitting every step below the bound keeps the oracle
+# deterministic.
+_STEP_NORM = 62.0
 
 
 @dataclass(frozen=True)
@@ -40,7 +45,7 @@ class FockConfig:
     nmax_atom: int = 16
     nmax_phot: int = 16
     tail_tol: float = 1e-8
-    dim_cap: int = DEFAULT_DIM_CAP
+    dim_cap: int = 1 << 18
 
     def __post_init__(self):
         if self.nmax_atom < 2 or self.nmax_phot < 2:
@@ -64,23 +69,6 @@ class FockState:
     @property
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
-
-
-def build_hamiltonian(params: ModelParams, cfg: FockConfig) -> np.ndarray:
-    """Dense matrix of c†c + delta a†a + chi (a†c† + a†c + c†a + c a)."""
-    if cfg.dim > cfg.dim_cap:
-        raise TruncationError(
-            f"product dimension {cfg.dim} exceeds cap {cfg.dim_cap}"
-        )
-    na, nph = cfg.nmax_atom, cfg.nmax_phot
-    c = np.kron(np.diag(np.sqrt(np.arange(1.0, na)), 1), np.eye(nph))
-    a = np.kron(np.eye(na), np.diag(np.sqrt(np.arange(1.0, nph)), 1))
-    h = (
-        c.T @ c
-        + params.delta * (a.T @ a)
-        + params.chi * (a.T @ c.T + a.T @ c + c.T @ a + c @ a)
-    )
-    return (h + h.T) / 2.0
 
 
 def coherent_fock(amp: float, phase: float, cfg: FockConfig) -> FockState:
@@ -108,39 +96,6 @@ def coherent_fock(amp: float, phase: float, cfg: FockConfig) -> FockState:
     amplitudes = np.zeros((cfg.nmax_atom, cfg.nmax_phot), dtype=complex)
     amplitudes[0, :] = coh / np.linalg.norm(coh)
     return FockState(amplitudes=amplitudes, tail_mass=max(tail, 0.0))
-
-
-def diagonalize(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of the (self-adjoint) Hamiltonian; reusable over t."""
-    return np.linalg.eigh(h)
-
-
-def evolve_exact(
-    psi0: FockState,
-    h: np.ndarray,
-    t: float,
-    cfg: FockConfig,
-    decomposition: tuple[np.ndarray, np.ndarray] | None = None,
-) -> FockState:
-    """psi(t) = exp(-i H t) psi(0), exact within the truncation.
-
-    Pass a precomputed ``diagonalize(h)`` result when evolving the same
-    Hamiltonian to many times. The returned state is flagged untrusted when
-    the top two levels of either mode carry more than ``cfg.tail_tol``.
-    """
-    if abs(psi0.norm - 1.0) > 1e-10:
-        raise InvalidParameterError(f"psi0 not normalized: |psi|={psi0.norm}")
-    w, v = decomposition if decomposition is not None else diagonalize(h)
-    flat = psi0.amplitudes.reshape(-1)
-    evolved = v @ (np.exp(-1j * w * t) * (v.conj().T @ flat))
-    amplitudes = evolved.reshape(psi0.amplitudes.shape)
-    populations = np.abs(amplitudes) ** 2
-    tail = float(max(populations[-2:, :].sum(), populations[:, -2:].sum()))
-    return FockState(
-        amplitudes=amplitudes,
-        tail_mass=tail,
-        trusted=tail <= cfg.tail_tol,
-    )
 
 
 def oracle_observables(
@@ -184,7 +139,7 @@ def oracle_observables(
 
 
 def sparse_hamiltonian(params: ModelParams, cfg: FockConfig) -> sparse.csc_matrix:
-    """Sparse variant of :func:`build_hamiltonian` for Krylov evolution."""
+    """Sparse matrix of c†c + delta a†a + chi (a†c† + a†c + c†a + c a)."""
     na, nph = cfg.nmax_atom, cfg.nmax_phot
     c = sparse.kron(
         sparse.diags(np.sqrt(np.arange(1.0, na)), 1), sparse.eye(nph)
@@ -200,6 +155,48 @@ def sparse_hamiltonian(params: ModelParams, cfg: FockConfig) -> sparse.csc_matri
     return h.tocsc()
 
 
+def _tails(amplitudes: np.ndarray) -> tuple[float, float]:
+    """Population in the top two atomic and the top two photonic levels."""
+    pops = np.abs(amplitudes) ** 2
+    return float(pops[-2:, :].sum()), float(pops[:, -2:].sum())
+
+
+def evolve_fock(
+    params: ModelParams, psi0: FockState, times: list[float], cfg: FockConfig
+) -> list[FockState]:
+    """psi(t) = exp(-i H t) psi(0) at every time in ``sorted(times)``.
+
+    Exact within the truncation of ``cfg``. A returned state is flagged
+    untrusted when the top two levels of either mode carry more than
+    ``cfg.tail_tol``.
+    """
+    if abs(psi0.norm - 1.0) > 1e-10:
+        raise InvalidParameterError(f"psi0 not normalized: |psi|={psi0.norm}")
+    h = sparse_hamiltonian(params, cfg)
+    n = h.shape[0]
+    shifted = h - (h.diagonal().sum() / n) * sparse.eye(n, format="csc")
+    onenorm = float(abs(shifted).sum(axis=0).max())
+    h = (-1j) * h
+    flat = psi0.amplitudes.reshape(-1)
+    states = []
+    t_prev = 0.0
+    for t in sorted(times):
+        steps = max(1, math.ceil(abs(t - t_prev) * onenorm / _STEP_NORM))
+        for _ in range(steps):
+            flat = expm_multiply(h * ((t - t_prev) / steps), flat)
+        t_prev = t
+        amplitudes = flat.reshape(psi0.amplitudes.shape)
+        tail = max(_tails(amplitudes))
+        states.append(
+            FockState(
+                amplitudes=amplitudes,
+                tail_mass=tail,
+                trusted=tail <= cfg.tail_tol,
+            )
+        )
+    return states
+
+
 def oracle_records(
     params: ModelParams,
     init: OpticalInit,
@@ -208,65 +205,37 @@ def oracle_records(
 ) -> tuple[list[CorrelationRecord], FockConfig]:
     """Evolve to every requested time with adaptive truncation.
 
-    Doubles the dimension whose tail violates ``tail_tol`` (photon side for
-    an inadequate initial coherent state, either side after evolution) and
-    retries, until all tails pass or the product dimension cap is hit.
-    Returns the records and the truncation that was finally used.
-
-    Evolution here uses a sparse Krylov propagator rather than the dense
-    diagonalization of :func:`evolve_exact`: the unstable regimes develop
-    heavy thermal-like number tails, and the truncations needed to police
-    them to ``tail_tol`` are far beyond what a dense eigendecomposition can
-    afford. The two evolution paths agree to roundoff at small dimensions
-    (see the test suite).
+    Starts from ``cfg`` (``FockConfig()`` by default) and doubles the
+    dimension whose tail violates ``tail_tol`` (photon side for an
+    inadequate initial coherent state, either side after evolution at any
+    time), until all tails pass. Raises :class:`TruncationError` when a
+    truncation exceeds the product dimension cap. Returns the records and
+    the truncation that was finally used.
     """
-    if cfg is None:
-        cfg = FockConfig(dim_cap=SPARSE_DIM_CAP)
+    cfg = cfg or FockConfig()
     times = sorted(times)
     while True:
+        if cfg.dim > cfg.dim_cap:
+            raise TruncationError(
+                f"adaptive truncation needs {cfg.nmax_atom}x{cfg.nmax_phot} "
+                f"> dimension cap {cfg.dim_cap}"
+            )
         try:
             psi0 = coherent_fock(init.amp, init.phase, cfg)
         except TruncationError:
-            cfg = _grow(cfg, atom=False, phot=True)
-            continue
-        h = (-1j) * sparse_hamiltonian(params, cfg)
-        states = []
-        flat = psi0.amplitudes.reshape(-1)
-        t_prev = 0.0
-        for t in times:
-            flat = expm_multiply(h * (t - t_prev), flat)
-            t_prev = t
-            amplitudes = flat.reshape(psi0.amplitudes.shape)
-            pops = np.abs(amplitudes) ** 2
-            tail = float(max(pops[-2:, :].sum(), pops[:, -2:].sum()))
-            states.append(
-                FockState(
-                    amplitudes=amplitudes,
-                    tail_mass=tail,
-                    trusted=tail <= cfg.tail_tol,
-                )
-            )
-        bad_atom = bad_phot = False
-        for s in states:
-            if not s.trusted:
-                pops = np.abs(s.amplitudes) ** 2
-                if pops[-2:, :].sum() > cfg.tail_tol:
-                    bad_atom = True
-                if pops[:, -2:].sum() > cfg.tail_tol:
-                    bad_phot = True
-        if not (bad_atom or bad_phot):
-            records = [
-                oracle_observables(s, t) for s, t in zip(states, times)
-            ]
-            return records, cfg
-        cfg = _grow(cfg, atom=bad_atom, phot=bad_phot)
-
-
-def _grow(cfg: FockConfig, atom: bool, phot: bool) -> FockConfig:
-    na = cfg.nmax_atom * 2 if atom else cfg.nmax_atom
-    nph = cfg.nmax_phot * 2 if phot else cfg.nmax_phot
-    if na * nph > cfg.dim_cap:
-        raise TruncationError(
-            f"adaptive truncation needs {na}x{nph} > dimension cap {cfg.dim_cap}"
+            bad_atom, bad_phot = False, True
+        else:
+            states = evolve_fock(params, psi0, times, cfg)
+            tails = [_tails(s.amplitudes) for s in states if not s.trusted]
+            bad_atom = any(atom > cfg.tail_tol for atom, _ in tails)
+            bad_phot = any(phot > cfg.tail_tol for _, phot in tails)
+            if not (bad_atom or bad_phot):
+                records = [
+                    oracle_observables(s, t) for s, t in zip(states, times)
+                ]
+                return records, cfg
+        cfg = replace(
+            cfg,
+            nmax_atom=cfg.nmax_atom * 2 if bad_atom else cfg.nmax_atom,
+            nmax_phot=cfg.nmax_phot * 2 if bad_phot else cfg.nmax_phot,
         )
-    return replace(cfg, nmax_atom=na, nmax_phot=nph)

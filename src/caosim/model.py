@@ -119,9 +119,13 @@ def eigenfrequencies(gen: DriftGenerator) -> np.ndarray:
     return np.linalg.eigvals(gen.matrix)
 
 
+def _param_scale(params: ModelParams) -> float:
+    return max(1.0, abs(params.delta), 4.0 * params.chi**2)
+
+
 def _critical_condition(params: ModelParams, tol: float) -> ThresholdKind | None:
     d, chi = params.delta, params.chi
-    pscale = max(1.0, abs(d), 4.0 * chi**2)
+    pscale = _param_scale(params)
     if abs(d) <= tol * pscale:
         return ThresholdKind.DELTA_ZERO
     if abs(d - 4.0 * chi**2) <= tol * pscale:
@@ -142,7 +146,11 @@ def classify_regime(gen: DriftGenerator, tol: float = 1e-9) -> RegimeReport:
     better conditioned than detecting an eigenvalue collision; the spectral
     degeneracy is then confirmed with a square-root-widened tolerance
     (eigenvalues of a defective matrix split as the square root of the
-    perturbation).
+    perturbation). The window 4 sqrt(tol) scale uses the parameter scale of
+    the algebraic test. It is twice the largest split that test admits: near
+    delta=0 the split is 4 chi sqrt|delta|, which reaches 2 sqrt(tol) scale
+    at the edge of the test, and near delta=4 chi^2 it is at most
+    1.42 sqrt|delta - 4 chi^2|.
     """
     if not tol > 0:
         raise InvalidParameterError(f"tol must be > 0, got {tol}")
@@ -151,7 +159,7 @@ def classify_regime(gen: DriftGenerator, tol: float = 1e-9) -> RegimeReport:
 
     kind = _critical_condition(gen.params, tol)
     if kind is not None:
-        degen_tol = math.sqrt(tol) * scale
+        degen_tol = 4.0 * math.sqrt(tol) * _param_scale(gen.params)
         pairs = tuple(
             (i, j)
             for i in range(4)

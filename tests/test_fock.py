@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
 from caosim import (
@@ -12,12 +13,10 @@ from caosim import (
     OpticalInit,
     TruncationError,
     build_generator,
-    build_hamiltonian,
     coherent_fock,
     correlation_record,
-    diagonalize,
     evolve,
-    evolve_exact,
+    evolve_fock,
     green_function,
     initial_state,
     oracle_observables,
@@ -26,9 +25,20 @@ from caosim import (
 from caosim.fock import sparse_hamiltonian
 
 
+def dense_hamiltonian(params, cfg):
+    return sparse_hamiltonian(params, cfg).toarray()
+
+
+def dense_evolution(params, psi0, t, cfg):
+    """Reference: the dense matrix exponential applied to the state."""
+    h = dense_hamiltonian(params, cfg)
+    flat = scipy.linalg.expm(-1j * t * h) @ psi0.amplitudes.reshape(-1)
+    return FockState(amplitudes=flat.reshape(psi0.amplitudes.shape))
+
+
 def test_hamiltonian_diagonal_without_coupling():
     cfg = FockConfig(4, 5)
-    h = build_hamiltonian(ModelParams(0.7, 0.0), cfg)
+    h = dense_hamiltonian(ModelParams(0.7, 0.0), cfg)
     na = np.arange(4)[:, None]
     nph = np.arange(5)[None, :]
     assert_allclose(h, np.diag((na + 0.7 * nph).reshape(-1)), atol=1e-15)
@@ -36,28 +46,29 @@ def test_hamiltonian_diagonal_without_coupling():
 
 def test_hamiltonian_pair_creation_element():
     cfg = FockConfig(2, 2)
-    h = build_hamiltonian(ModelParams(1.0, 1.0), cfg)
+    h = dense_hamiltonian(ModelParams(1.0, 1.0), cfg)
     # basis order (n_atom, n_phot): |0,0>, |0,1>, |1,0>, |1,1>
     assert_allclose(h[3, 0], 1.0, rtol=1e-15)
     assert_allclose(h[0, 3], 1.0, rtol=1e-15)
+    # beam-splitter exchange |0,1> <-> |1,0>
+    assert_allclose(h[1, 2], 1.0, rtol=1e-15)
+    assert_allclose(h[2, 1], 1.0, rtol=1e-15)
     assert_allclose(np.diag(h), [0.0, 1.0, 1.0, 2.0], atol=1e-15)
 
 
 def test_hamiltonian_exactly_symmetric():
-    h = build_hamiltonian(ModelParams(-1.3, 0.9), FockConfig(6, 7))
+    h = dense_hamiltonian(ModelParams(-1.3, 0.9), FockConfig(6, 7))
     assert np.array_equal(h, h.T)
 
 
 def test_hamiltonian_dimension_cap():
     with pytest.raises(TruncationError):
-        build_hamiltonian(ModelParams(1.0, 1.0), FockConfig(128, 128, dim_cap=4096))
-
-
-def test_sparse_matches_dense_hamiltonian():
-    params = ModelParams(0.4, 1.1)
-    cfg = FockConfig(5, 6)
-    dense = build_hamiltonian(params, cfg)
-    assert_allclose(sparse_hamiltonian(params, cfg).toarray(), dense, atol=1e-14)
+        oracle_records(
+            ModelParams(1.0, 1.0),
+            OpticalInit(0.0, 0.0),
+            [1.0],
+            FockConfig(128, 128, dim_cap=4096),
+        )
 
 
 def test_coherent_vacuum():
@@ -100,19 +111,16 @@ def test_coherent_occupation():
 def test_evolve_identity_at_t_zero():
     cfg = FockConfig(8, 8)
     params = ModelParams(1.0, 1.0)
-    h = build_hamiltonian(params, cfg)
     psi0 = coherent_fock(0.0, 0.0, cfg)
-    psi = evolve_exact(psi0, h, 0.0, cfg)
+    [psi] = evolve_fock(params, psi0, [0.0], cfg)
     assert_allclose(psi.amplitudes, psi0.amplitudes, atol=1e-12)
 
 
 def test_diagonal_hamiltonian_preserves_populations():
     cfg = FockConfig(2, 24)
     params = ModelParams(0.8, 0.0)
-    h = build_hamiltonian(params, cfg)
     psi0 = coherent_fock(1.5, 0.0, cfg)
-    for t in (0.5, 3.0):
-        psi = evolve_exact(psi0, h, t, cfg)
+    for psi in evolve_fock(params, psi0, [0.5, 3.0], cfg):
         assert_allclose(
             np.abs(psi.amplitudes) ** 2, np.abs(psi0.amplitudes) ** 2, atol=1e-12
         )
@@ -121,13 +129,11 @@ def test_diagonal_hamiltonian_preserves_populations():
 def test_norm_and_energy_conservation():
     cfg = FockConfig(20, 20)
     params = ModelParams(1.0, 0.6)
-    h = build_hamiltonian(params, cfg)
-    decomp = diagonalize(h)
+    h = sparse_hamiltonian(params, cfg)
     psi0 = coherent_fock(1.0, 0.5, cfg)
     flat0 = psi0.amplitudes.reshape(-1)
     e0 = float(np.real(flat0.conj() @ (h @ flat0)))
-    for t in (0.3, 1.0, 2.5):
-        psi = evolve_exact(psi0, h, t, cfg, decomp)
+    for psi in evolve_fock(params, psi0, [0.3, 1.0, 2.5], cfg):
         assert abs(psi.norm - 1.0) < 1e-12
         flat = psi.amplitudes.reshape(-1)
         e = float(np.real(flat.conj() @ (h @ flat)))
@@ -136,10 +142,9 @@ def test_norm_and_energy_conservation():
 
 def test_unnormalized_input_rejected():
     cfg = FockConfig(4, 4)
-    h = build_hamiltonian(ModelParams(1.0, 1.0), cfg)
     bad = FockState(amplitudes=np.full((4, 4), 0.5, dtype=complex))
     with pytest.raises(InvalidParameterError):
-        evolve_exact(bad, h, 1.0, cfg)
+        evolve_fock(ModelParams(1.0, 1.0), bad, [1.0], cfg)
 
 
 def test_untrusted_state_rejected_by_observables():
@@ -163,8 +168,7 @@ def test_sparse_driver_matches_dense_evolution():
     init = OpticalInit(1.0, 0.25)
     cfg = FockConfig(16, 16, dim_cap=1 << 18)
     records, used = oracle_records(params, init, [0.4], cfg)
-    h = build_hamiltonian(params, used)
-    psi = evolve_exact(coherent_fock(1.0, 0.25, used), h, 0.4, used)
+    psi = dense_evolution(params, coherent_fock(1.0, 0.25, used), 0.4, used)
     dense = oracle_observables(psi)
     assert_allclose(records[0].n3, dense.n3, rtol=1e-12)
     assert_allclose(records[0].g13, dense.g13, rtol=1e-10)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from caosim import (
@@ -128,6 +129,8 @@ def test_regime_iii_rates():
     "delta,chi,kind",
     [
         (0.0, 1.0, ThresholdKind.DELTA_ZERO),
+        # eigenvalue split 8.6e-5, wider than sqrt(tol) times the spectrum
+        (-1.2479530186683278e-09, 1.2137432172653515, ThresholdKind.DELTA_ZERO),
         (4.0, 1.0, ThresholdKind.DELTA_FOUR_CHI_SQ),
         (-3.0, 2.0 / math.sqrt(3.0), ThresholdKind.NEGATIVE_DELTA_SURFACE),
     ],
@@ -137,6 +140,23 @@ def test_threshold_detection(delta, chi, kind):
     assert report.regime == Regime.DEGENERATE_THRESHOLD_IV
     assert report.threshold_kind == kind
     assert report.degenerate_pairs
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(
+    chi=st.one_of(st.just(0.0), st.floats(0.0, 10.0)),
+    surface=st.sampled_from(["delta=0", "delta=4*chi^2"]),
+    frac=st.floats(-1.0, 1.0),
+    tol=st.sampled_from([1e-12, 1e-9, 1e-6]),
+)
+def test_classification_total_near_threshold_surfaces(chi, surface, frac, tol):
+    # every delta with |delta - delta_c| <= tol * max(1, |delta|, 4 chi^2),
+    # the edges included, is the threshold regime iv
+    delta_c = 0.0 if surface == "delta=0" else 4.0 * chi**2
+    delta = delta_c + frac * tol * max(1.0, 4.0 * chi**2)
+    assume(abs(delta - delta_c) <= tol * max(1.0, abs(delta), 4.0 * chi**2))
+    report = classify_regime(build_generator(ModelParams(delta, chi)), tol)
+    assert report.regime == Regime.DEGENERATE_THRESHOLD_IV
 
 
 def test_decoupled_stable_spectrum():
