@@ -7,8 +7,11 @@ floats, ``\\n`` line endings) or a single JSON object via ``--json``.
 Exit codes: 0 success, 1 comparison failure, 2 usage error, 3 numerical
 failure (overflow / non-convergence / truncation inadequacy).
 
-Option precedence is flags > config file (flat ``key=value`` text, ``#``
-comments) > built-in defaults; there are no environment variables.
+Option precedence is flags > preset > config file (flat ``key=value`` text,
+``#`` comments) > built-in defaults; there are no environment variables.
+Every option is declared once, in ``COMMANDS``: a config value is read with
+its flag's type or choices, and an unreadable config file is a usage error
+like a bad flag.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import json
 import math
 import os
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
@@ -89,66 +93,77 @@ def _json_default(obj):
 
 
 def _load_config(path):
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InvalidParameterError(f"cannot read config file: {exc}") from None
     values = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise InvalidParameterError(
-                    f"{path}:{lineno}: expected key=value, got {raw!r}"
-                )
-            key, value = (part.strip() for part in line.split("=", 1))
-            values[key.replace("-", "_")] = value
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise InvalidParameterError(
+                f"{path}:{lineno}: expected key=value, got {raw!r}"
+            )
+        key, value = (part.strip() for part in line.split("=", 1))
+        values[key.replace("-", "_")] = value
     return values
 
 
-REQUIRED = object()
+REQUIRED = object()  # must come from a flag or the config file
+FLAG_ONLY = object()  # has no config key
 
 
-def _coerce(raw, fallback):
-    if fallback is REQUIRED or fallback is None:
-        try:
-            return int(raw)
-        except ValueError:
-            pass
-        try:
-            return float(raw)
-        except ValueError:
-            return raw
-    try:
-        return type(fallback)(raw)
-    except ValueError as exc:
-        raise InvalidParameterError(str(exc)) from None
+class Option(NamedTuple):
+    """One subcommand option: flag ``--name-with-dashes``, config key ``name``.
 
-
-def _resolve(args, defaults):
-    """Apply precedence flags > config file > defaults to the parsed args.
-
-    ``REQUIRED`` marks options that must come from a flag or the config
-    file; a fallback of ``None`` marks a genuinely optional setting.
+    ``kind`` is the type of the value or the tuple of its choices, for the
+    flag and the config value alike. ``default`` is ``REQUIRED``, a value,
+    ``None`` for a genuinely optional setting, or ``FLAG_ONLY``.
     """
-    config = _load_config(args.config) if getattr(args, "config", None) else {}
-    for key, fallback in defaults.items():
-        if getattr(args, key, None) is None:
-            if key in config:
-                setattr(args, key, _coerce(config[key], fallback))
-            elif fallback is not REQUIRED:
-                setattr(args, key, fallback)
-    missing = [
-        k for k, v in defaults.items()
-        if v is REQUIRED and getattr(args, k, None) is None
-    ]
+
+    name: str
+    kind: type | tuple
+    default: object = None
+    help: str | None = None
+
+    def parse(self, raw: str):
+        """The config value ``raw``, read as argparse reads the flag."""
+        if isinstance(self.kind, tuple):
+            if raw in self.kind:
+                return raw
+            raise InvalidParameterError(
+                f"{self.name} must be one of {self.kind}, got {raw!r}"
+            )
+        try:
+            return self.kind(raw)
+        except ValueError:
+            raise InvalidParameterError(
+                f"{self.name}: invalid {self.kind.__name__} value {raw!r}"
+            ) from None
+
+
+def _resolve(args, options):
+    """Apply precedence flags > config file > defaults to the parsed args."""
+    config = _load_config(args.config) if args.config else {}
+    missing = []
+    for opt in options:
+        if opt.default is FLAG_ONLY or getattr(args, opt.name) is not None:
+            continue
+        if opt.name in config:
+            setattr(args, opt.name, opt.parse(config[opt.name]))
+        elif opt.default is REQUIRED:
+            missing.append(opt.name)
+        else:
+            setattr(args, opt.name, opt.default)
     if missing:
         raise InvalidParameterError(f"missing required option(s): {missing}")
-    return args
 
 
 def _apply_preset(args):
-    preset = PRESETS.get(getattr(args, "preset", None) or "")
-    if preset is None:
-        return
+    preset = PRESETS.get(getattr(args, "preset", None), {})
     if preset.get("need_phi") and getattr(args, "phi", None) is None:
         raise InvalidParameterError(
             f"preset {args.preset} requires --phi (the published panels do "
@@ -175,7 +190,6 @@ SWEEP_HEADER = ["alpha2", "phi", *RECORD_HEADER[3:]]
 
 
 def cmd_classify(args, out):
-    args = _resolve(args, {"delta": REQUIRED, "chi": REQUIRED, "tol": 1e-9})
     report = classify_regime(
         build_generator(ModelParams(args.delta, args.chi)), tol=args.tol
     )
@@ -211,19 +225,6 @@ def cmd_classify(args, out):
 
 
 def cmd_evolve(args, out):
-    _apply_preset(args)
-    args = _resolve(
-        args,
-        {
-            "delta": REQUIRED,
-            "chi": REQUIRED,
-            "alpha2": 0.0,
-            "phi": 0.0,
-            "t_start": 0.05,
-            "t_end": 6.0,
-            "steps": 120,
-        },
-    )
     if args.steps < 1:
         raise InvalidParameterError(f"steps must be >= 1, got {args.steps}")
     gen = build_generator(ModelParams(args.delta, args.chi))
@@ -259,30 +260,10 @@ def cmd_evolve(args, out):
 
 
 def cmd_sweep(args, out):
-    _apply_preset(args)
-    args = _resolve(
-        args,
-        {
-            "delta": REQUIRED,
-            "chi": REQUIRED,
-            "alpha2_min": 0.0,
-            "alpha2_max": 10.0,
-            "alpha2_count": 11,
-            "phi_min": 0.0,
-            "phi_max": 2.0 * math.pi,
-            "phi_count": 16,
-            "time_policy": "fixed",
-            "t": 8.0,
-        },
-    )
     if args.alpha2_count < 1 or args.phi_count < 1:
         raise InvalidParameterError("grid counts must be >= 1")
     if not 0.0 <= args.phi_min <= args.phi_max < 2.0 * math.pi + 1e-12:
         raise InvalidParameterError("phi range must lie within [0, 2*pi)")
-    if args.time_policy not in ("fixed", "longtime"):
-        raise InvalidParameterError(
-            f"time-policy must be 'fixed' or 'longtime', got {args.time_policy!r}"
-        )
     alpha2s = np.linspace(args.alpha2_min, args.alpha2_max, args.alpha2_count)
     phis = np.linspace(args.phi_min, args.phi_max, args.phi_count, endpoint=False) \
         if args.phi_count > 1 else np.array([args.phi_min])
@@ -335,10 +316,6 @@ def cmd_sweep(args, out):
 
 
 def cmd_threshold(args, out):
-    args = _resolve(
-        args,
-        {"delta_c": REQUIRED, "chi": REQUIRED, "alpha2": 0.0, "phi": 0.0},
-    )
     value = threshold_g2(
         ModelParams(args.delta_c, args.chi),
         OpticalInit(_amplitudes(args.alpha2), args.phi),
@@ -362,24 +339,13 @@ def cmd_threshold(args, out):
 
 
 def cmd_oracle_compare(args, out):
-    args = _resolve(
-        args,
-        {
-            "delta": REQUIRED,
-            "chi": REQUIRED,
-            "alpha2": 0.0,
-            "phi": 0.0,
-            "times": "0.5,1.0",
-            "rtol_occupation": 1e-6,
-            "atol_g2": 1e-4,
-            "dim_cap": None,
-        },
-    )
     try:
-        times = sorted(float(v) for v in str(args.times).split(","))
+        times = sorted(float(v) for v in args.times.split(","))
+        if not all(map(math.isfinite, times)):
+            raise ValueError
     except ValueError:
         raise InvalidParameterError(
-            f"times must be comma-separated numbers, got {args.times!r}"
+            f"times must be comma-separated finite numbers, got {args.times!r}"
         ) from None
     late = [t for t in times if t > 3.0]
     comments = []
@@ -389,7 +355,7 @@ def cmd_oracle_compare(args, out):
         )
     params = ModelParams(args.delta, args.chi)
     init = OpticalInit(_amplitudes(args.alpha2), args.phi)
-    cfg = None if args.dim_cap is None else FockConfig(dim_cap=int(args.dim_cap))
+    cfg = None if args.dim_cap is None else FockConfig(dim_cap=args.dim_cap)
     gen = build_generator(params)
 
     rows = []
@@ -458,9 +424,37 @@ def cmd_oracle_compare(args, out):
     return EXIT_NUMERICAL
 
 
-def _add_common(p):
-    p.add_argument("--json", action="store_true", help="emit a JSON object")
-    p.add_argument("--config", help="flat key=value config file")
+DELTA = Option("delta", float, REQUIRED)
+CHI = Option("chi", float, REQUIRED)
+ALPHA2 = Option("alpha2", float, 0.0, "optical intensity |alpha|^2")
+PHI = Option("phi", float, 0.0, "optical phase in radians")
+PRESET = Option("preset", tuple(sorted(PRESETS)), FLAG_ONLY)
+
+# subcommand: (help, handler, options in the order of the usage line)
+COMMANDS = {
+    "classify": ("regime of the linear system", cmd_classify, (
+        DELTA, CHI, Option("tol", float, 1e-9))),
+    "evolve": ("time series of correlations", cmd_evolve, (
+        DELTA, CHI, ALPHA2, PHI, Option("t_start", float, 0.05),
+        Option("t_end", float, 6.0), Option("steps", int, 120), PRESET)),
+    "sweep": ("(alpha2, phi) grid of correlations", cmd_sweep, (
+        DELTA, CHI, Option("alpha2_min", float, 0.0),
+        Option("alpha2_max", float, 10.0), Option("alpha2_count", int, 11),
+        Option("phi_min", float, 0.0), Option("phi_max", float, 2.0 * math.pi),
+        Option("phi_count", int, 16),
+        Option("time_policy", ("fixed", "longtime"), "fixed"),
+        Option("t", float, 8.0, "time for the fixed policy"),
+        Option("jobs", int, FLAG_ONLY,
+               "accepted for compatibility; sweeps run in one process"),
+        PRESET)),
+    "threshold": ("closed-form asymptotic g2", cmd_threshold, (
+        Option("delta_c", float, REQUIRED), CHI, ALPHA2, PHI)),
+    "oracle-compare": ("moment pipeline vs Fock oracle", cmd_oracle_compare, (
+        DELTA, CHI, ALPHA2, PHI,
+        Option("times", str, "0.5,1.0", "comma-separated evolution times"),
+        Option("rtol_occupation", float, 1e-6), Option("atol_g2", float, 1e-4),
+        Option("dim_cap", int, None))),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -469,72 +463,25 @@ def build_parser() -> argparse.ArgumentParser:
         description="Linear atom-photon dynamics, statistics and bounds.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("classify", help="regime of the linear system")
-    p.add_argument("--delta", type=float)
-    p.add_argument("--chi", type=float)
-    p.add_argument("--tol", type=float)
-    _add_common(p)
-    p.set_defaults(run=cmd_classify)
-
-    p = sub.add_parser("evolve", help="time series of correlations")
-    p.add_argument("--delta", type=float)
-    p.add_argument("--chi", type=float)
-    p.add_argument("--alpha2", type=float, help="optical intensity |alpha|^2")
-    p.add_argument("--phi", type=float, help="optical phase in radians")
-    p.add_argument("--t-start", type=float, dest="t_start")
-    p.add_argument("--t-end", type=float, dest="t_end")
-    p.add_argument("--steps", type=int)
-    p.add_argument("--preset", choices=sorted(PRESETS))
-    _add_common(p)
-    p.set_defaults(run=cmd_evolve)
-
-    p = sub.add_parser("sweep", help="(alpha2, phi) grid of correlations")
-    p.add_argument("--delta", type=float)
-    p.add_argument("--chi", type=float)
-    p.add_argument("--alpha2-min", type=float, dest="alpha2_min")
-    p.add_argument("--alpha2-max", type=float, dest="alpha2_max")
-    p.add_argument("--alpha2-count", type=int, dest="alpha2_count")
-    p.add_argument("--phi-min", type=float, dest="phi_min")
-    p.add_argument("--phi-max", type=float, dest="phi_max")
-    p.add_argument("--phi-count", type=int, dest="phi_count")
-    p.add_argument("--time-policy", choices=["fixed", "longtime"],
-                   dest="time_policy")
-    p.add_argument("--t", type=float, help="time for the fixed policy")
-    p.add_argument("--jobs", type=int, help="accepted for compatibility; "
-                   "sweeps run in one process")
-    p.add_argument("--preset", choices=sorted(PRESETS))
-    _add_common(p)
-    p.set_defaults(run=cmd_sweep)
-
-    p = sub.add_parser("threshold", help="closed-form asymptotic g2")
-    p.add_argument("--delta-c", type=float, dest="delta_c")
-    p.add_argument("--chi", type=float)
-    p.add_argument("--alpha2", type=float)
-    p.add_argument("--phi", type=float)
-    _add_common(p)
-    p.set_defaults(run=cmd_threshold)
-
-    p = sub.add_parser("oracle-compare", help="moment pipeline vs Fock oracle")
-    p.add_argument("--delta", type=float)
-    p.add_argument("--chi", type=float)
-    p.add_argument("--alpha2", type=float)
-    p.add_argument("--phi", type=float)
-    p.add_argument("--times", help="comma-separated evolution times")
-    p.add_argument("--rtol-occupation", type=float, dest="rtol_occupation")
-    p.add_argument("--atol-g2", type=float, dest="atol_g2")
-    p.add_argument("--dim-cap", type=int, dest="dim_cap")
-    _add_common(p)
-    p.set_defaults(run=cmd_oracle_compare)
-
+    for command, (text, _, options) in COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        for opt in options:
+            kind = "choices" if isinstance(opt.kind, tuple) else "type"
+            p.add_argument("--" + opt.name.replace("_", "-"), help=opt.help,
+                           **{kind: opt.kind})
+        p.add_argument("--json", action="store_true", help="emit a JSON object")
+        p.add_argument("--config", help="flat key=value config file")
     return parser
 
 
 def main(argv=None, out=None) -> int:
     out = out or sys.stdout
     args = build_parser().parse_args(argv)
+    _, run, options = COMMANDS[args.command]
     try:
-        code = args.run(args, out)
+        _apply_preset(args)
+        _resolve(args, options)
+        code = run(args, out)
         out.flush()
         return code
     except BrokenPipeError:
@@ -549,7 +496,8 @@ def main(argv=None, out=None) -> int:
     except InvalidParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except CaosimError as exc:  # every other package error is numerical
+    except (CaosimError, ArithmeticError) as exc:
+        # every other package error, and float overflow, is numerical
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -155,7 +155,11 @@ def threshold_g2(
     cos2 = math.cos(init.phase - math.pi * delta_c / (8.0 * chi**2)) ** 2
     u = init.intensity * cos2
     a = 1.0 + delta_c
-    return 1.0 + 2.0 * a * (a + 8.0 * u) / (a + 4.0 * u) ** 2
+    # 1 + 2a(a + 8u)/(a + 4u)^2 with x = a/(a + 4u), which stays finite as
+    # u -> inf; the quarter is exact, so x is a/(a + 4u) without overflow
+    q = a / 4.0
+    x = q / (q + u)
+    return 1.0 + 2.0 * x * (2.0 - x)
 
 
 @dataclass(frozen=True)

@@ -341,6 +341,8 @@ def test_fixed_sweep_matches_per_cell_records(
         ["evolve", "--delta", "1", "--chi", "1", "--alpha2", "-1"],
         ["evolve", "--delta", "1", "--chi", "1", "--alpha2", "nan"],
         ["oracle-compare", "--delta", "1", "--chi", "1", "--times", "0.5,x"],
+        ["oracle-compare", "--delta", "1", "--chi", "1", "--times", "nan"],
+        ["oracle-compare", "--delta", "1", "--chi", "1", "--times", "0.5,inf"],
     ],
 )
 def test_bad_values_are_usage_errors(argv):
@@ -349,11 +351,57 @@ def test_bad_values_are_usage_errors(argv):
     assert text == ""
 
 
-def test_config_value_of_wrong_type_is_usage_error(tmp_path):
+@pytest.mark.parametrize(
+    "command, line",
+    [
+        pytest.param("evolve", "steps = 12.5", id="steps"),
+        pytest.param("oracle-compare", "dim_cap = abc", id="dim_cap"),
+        pytest.param("sweep", "time_policy = foo", id="time_policy"),
+    ],
+)
+def test_config_value_of_wrong_type_is_usage_error(tmp_path, command, line):
+    # a config value is read with its flag's type or choices
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("delta = 1\nchi = 1\nsteps = 12.5\n")
-    code, _ = run_cli(["evolve", "--config", str(cfg)])
+    cfg.write_text(f"delta = 1\nchi = 1\n{line}\n")
+    code, text = run_cli([command, "--config", str(cfg)])
     assert code == cli.EXIT_USAGE
+    assert text == ""
+
+
+@pytest.mark.parametrize("content", [None, b"delta = \xff\n"],
+                         ids=["missing", "not-utf8"])
+def test_unreadable_config_is_usage_error(tmp_path, content):
+    cfg = tmp_path / "run.cfg"
+    if content is not None:
+        cfg.write_bytes(content)
+    code, _ = run_cli(["classify", "--config", str(cfg), "--chi", "1"])
+    assert code == cli.EXIT_USAGE
+
+
+def test_config_and_flags_print_the_same_bytes(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("delta = 1\nchi = 1\nsteps = 3\n")
+    for extra in ([], ["--json"]):
+        from_config = run_cli(["evolve", "--config", str(cfg), *extra])
+        from_flags = run_cli(
+            ["evolve", "--delta", "1", "--chi", "1", "--steps", "3", *extra]
+        )
+        assert from_config == from_flags
+
+
+def test_overflow_is_numerical_failure():
+    # chi**2 overflows while the regime is classified
+    code, text = run_cli(["classify", "--delta", "1e308", "--chi", "1e200"])
+    assert code == cli.EXIT_NUMERICAL
+    assert text == ""
+
+
+def test_threshold_finite_at_huge_intensity():
+    code, text = run_cli(
+        ["threshold", "--delta-c", "0", "--chi", "1", "--alpha2", "1e308"]
+    )
+    assert code == cli.EXIT_OK
+    assert 1.0 <= float(text) <= 3.0
 
 
 def test_classification_failure_is_numerical_failure(monkeypatch):
