@@ -28,7 +28,7 @@ from .model import (
     classify_regime,
     eigenfrequencies,
 )
-from .propagator import Propagator, green_function, verify_propagator
+from .propagator import Propagator, green_function, green_stack, verify_propagator
 from .gaussian import (
     ATOM,
     ATOM_DAG,

@@ -10,8 +10,9 @@ failure (overflow / non-convergence / truncation inadequacy).
 Option precedence is flags > preset > config file (flat ``key=value`` text,
 ``#`` comments) > built-in defaults; there are no environment variables.
 Every option is declared once, in ``COMMANDS``: a config value is read with
-its flag's type or choices, and an unreadable config file is a usage error
-like a bad flag.
+its flag's type or choices, and an unreadable config file, or a key that no
+subcommand has (flag-only options such as ``preset`` included), is a usage
+error like a bad flag.
 """
 
 from __future__ import annotations
@@ -35,13 +36,14 @@ from .fock import FockConfig, oracle_records
 from .gaussian import OpticalInit, coherent_states, evolve, initial_state
 from .model import ModelParams, build_generator, classify_regime
 from .observables import (
+    OCCUPATION_THRESHOLD,
     CorrelationRecord,
     correlation_record,
     long_time_g2,
     records,
     threshold_g2,
 )
-from .propagator import green_function
+from .propagator import green_function, green_stack
 
 SCHEMA_VERSION = 1
 
@@ -49,6 +51,10 @@ EXIT_OK = 0
 EXIT_COMPARISON_FAILED = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
+
+# Times per G(t) stack in ``evolve``: one stack of every time of a long
+# series would hold them all in memory at once.
+EVOLVE_BLOCK = 256
 
 # Figure presets: captioned parameters baked in. The phases behind the 3b/3c
 # and 4b/4c panels are not published, so those presets require --phi.
@@ -148,6 +154,14 @@ class Option(NamedTuple):
 def _resolve(args, options):
     """Apply precedence flags > config file > defaults to the parsed args."""
     config = _load_config(args.config) if args.config else {}
+    # a key of another subcommand is allowed, so one file can serve several
+    keys = {opt.name for _, _, opts in COMMANDS.values() for opt in opts
+            if opt.default is not FLAG_ONLY}
+    for key in config:
+        if key not in keys:
+            raise InvalidParameterError(
+                f"{args.config}: {key!r} is not a config key of any subcommand"
+            )
     missing = []
     for opt in options:
         if opt.default is FLAG_ONLY or getattr(args, opt.name) is not None:
@@ -224,22 +238,51 @@ def cmd_classify(args, out):
     return EXIT_OK
 
 
+def _overflowed(rec: CorrelationRecord) -> np.ndarray:
+    """Where a batched record's moments overflowed: an occupation is not
+    finite, or a correlator is not finite although the occupations it is
+    normalized by are defined (a true 0/0 stays an empty field)."""
+    n1 = rec.n1 > OCCUPATION_THRESHOLD
+    n3 = rec.n3 > OCCUPATION_THRESHOLD
+    return (~(np.isfinite(rec.n1) & np.isfinite(rec.n3))
+            | (n1 & ~np.isfinite(rec.g11)) | (n3 & ~np.isfinite(rec.g33))
+            | (n1 & n3 & ~np.isfinite(rec.g13)))
+
+
+def _rows(cells: np.ndarray) -> list:
+    """The output rows of a table of floats, with None (an empty field) for NaN."""
+    return [[None if math.isnan(v) else v for v in row] for row in cells.tolist()]
+
+
 def cmd_evolve(args, out):
     if args.steps < 1:
         raise InvalidParameterError(f"steps must be >= 1, got {args.steps}")
     gen = build_generator(ModelParams(args.delta, args.chi))
     s0 = initial_state(OpticalInit(_amplitudes(args.alpha2), args.phi))
+    times = np.linspace(args.t_start, args.t_end, args.steps)
     rows = []
-    footer = []
-    overflowed = False
-    for t in np.linspace(args.t_start, args.t_end, args.steps):
+    overflow = None
+    for start in range(0, times.size, EVOLVE_BLOCK):
+        block = times[start:start + EVOLVE_BLOCK]
         try:
-            rec = correlation_record(evolve(s0, green_function(gen, t)), float(t))
-        except PropagatorOverflowError:
-            footer.append(f"overflow at t={_fmt(t)}")
-            overflowed = True
+            g = green_stack(gen, block)
+        except PropagatorOverflowError as exc:
+            # the rows stop at the first time over the cap
+            overflow = exc.t
+            block = block[:np.argmax(block == exc.t)]
+            g = green_stack(gen, block)
+        # moments past the range of doubles become inf and NaN: an overflow
+        with np.errstate(over="ignore", invalid="ignore"):
+            rec = records(evolve(s0, g), block)
+        bad = _overflowed(rec)
+        stop = int(np.argmax(bad)) if bad.any() else block.size
+        if stop < block.size:
+            overflow = block[stop]
+        cells = np.stack([getattr(rec, name)[:stop] for name in RECORD_HEADER], -1)
+        rows += _rows(cells)
+        if overflow is not None:
             break
-        rows.append([getattr(rec, name) for name in RECORD_HEADER])
+    footer = [] if overflow is None else [f"overflow at t={_fmt(overflow)}"]
     if args.json:
         _emit_json(
             out,
@@ -256,7 +299,7 @@ def cmd_evolve(args, out):
         )
     else:
         _emit_csv(out, RECORD_HEADER, rows, footer)
-    return EXIT_NUMERICAL if overflowed else EXIT_OK
+    return EXIT_NUMERICAL if footer else EXIT_OK
 
 
 def cmd_sweep(args, out):
@@ -282,8 +325,7 @@ def cmd_sweep(args, out):
         cells = np.stack(
             np.broadcast_arrays(alpha2s[:, None], phis, *stats), axis=-1
         ).reshape(-1, len(SWEEP_HEADER))
-        rows = [[None if math.isnan(v) else v for v in row]
-                for row in cells.tolist()]
+        rows = _rows(cells)
     else:
         rows = []
         for a2, amp in zip(alpha2s.tolist(), amps.tolist()):

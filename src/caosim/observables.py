@@ -41,7 +41,9 @@ from .gaussian import (
     occupation,
 )
 from .model import ModelParams, Regime, build_generator, classify_regime
-from .propagator import Propagator, green_function
+# green_function is unused here but stays importable: bench/tracer.py wraps
+# observables.green_function by name.
+from .propagator import green_function, green_stack  # noqa: F401
 
 #: Occupations below this are treated as zero, making normalized correlators 0/0.
 OCCUPATION_THRESHOLD = 1e-12
@@ -193,9 +195,10 @@ class OscillationSummary:
 
 
 def _samples(gen, s0: GaussianState, mode: str, times) -> np.ndarray:
-    """The ``mode`` correlator at each of ``times``, from one batched record."""
-    gmat = np.stack([green_function(gen, float(t)).gmat for t in times])
-    rec = records(evolve(s0, Propagator(t=times, gmat=gmat, generator=gen)), times)
+    """The ``mode`` correlator at each of ``times``, from one propagator stack
+    and one batched record."""
+    g = green_stack(gen, times)
+    rec = records(evolve(s0, g), g.t)
     values = getattr(rec, _MODE_FIELDS[mode])
     undefined = np.isnan(values)
     if np.any(undefined):

@@ -1,7 +1,8 @@
 """Green's-function matrix G(t) solving the linear Heisenberg system.
 
 G(t) maps initial operators to evolved ones, x_i(t) = sum_j G(t)_ij x_j(0),
-and is computed as the matrix exponential of i*M*t by scaling and squaring.
+and is computed as the matrix exponential of i*M*t by scaling and squaring,
+for a whole stack of times in one call.
 This single code path is exact (up to roundoff) in every regime, including
 the degenerate thresholds where the secular polynomial-in-t growth emerges
 automatically from the exponential of a non-diagonalizable generator.
@@ -49,23 +50,53 @@ class Propagator:
     generator: DriftGenerator
 
 
+def green_stack(
+    gen: DriftGenerator, times, entry_cap: float = DEFAULT_ENTRY_CAP
+) -> Propagator:
+    """Compute the stack G(t) = exp(i M t) for every time of ``times``.
+
+    One ``expm`` call covers the whole stack; scipy evaluates each slice by
+    the same scaling-and-squaring method as a single matrix, so every slice
+    equals the single-time result bitwise. ``t`` of the result is the 1-D
+    array of times and ``gmat`` has shape ``[len(times), 4, 4]``.
+
+    Raises :class:`PropagatorOverflowError` for the first time, in sequence
+    order, at which any entry magnitude exceeds ``entry_cap`` or is not
+    finite: that time is too deep into exponential instability for raw
+    moments to be representable.
+    """
+    times = np.asarray(times, dtype=float)
+    bad_t = ~np.isfinite(times)
+    if bad_t.any():
+        raise InvalidParameterError(
+            f"t must be finite, got {times[np.argmax(bad_t)]}"
+        )
+    quad_gen = (_TO_QUAD @ (1j * gen.matrix) @ _TO_LADDER).real
+    # past the cap the squarings overflow to inf and NaN; the cap reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        gmat = _TO_LADDER @ expm(quad_gen * times[:, None, None]) @ _TO_QUAD
+        max_entry = np.max(np.abs(gmat), axis=(-2, -1), initial=0.0)
+    over = ~(max_entry <= entry_cap)
+    if over.any():
+        k = int(np.argmax(over))
+        raise PropagatorOverflowError(
+            t=float(times[k]), max_entry=float(max_entry[k]), cap=entry_cap
+        )
+    gmat.setflags(write=False)
+    return Propagator(t=times, gmat=gmat, generator=gen)
+
+
 def green_function(
     gen: DriftGenerator, t: float, entry_cap: float = DEFAULT_ENTRY_CAP
 ) -> Propagator:
-    """Compute G(t) = exp(i M t).
+    """Compute G(t) = exp(i M t) at one time: the one-time view of
+    :func:`green_stack`, with ``gmat`` of shape ``[4, 4]``.
 
-    Raises :class:`PropagatorOverflowError` when any entry magnitude exceeds
-    ``entry_cap``: the requested time is too deep into exponential
-    instability for raw moments to be representable.
+    Raises :class:`InvalidParameterError` for a non-finite ``t``, and
+    :class:`PropagatorOverflowError` when any entry magnitude exceeds
+    ``entry_cap``.
     """
-    if not math.isfinite(t):
-        raise InvalidParameterError(f"t must be finite, got {t}")
-    quad_gen = (_TO_QUAD @ (1j * gen.matrix) @ _TO_LADDER).real
-    gmat = _TO_LADDER @ expm(quad_gen * t) @ _TO_QUAD
-    max_entry = float(np.max(np.abs(gmat)))
-    if not math.isfinite(max_entry) or max_entry > entry_cap:
-        raise PropagatorOverflowError(t=t, max_entry=max_entry, cap=entry_cap)
-    gmat.setflags(write=False)
+    gmat = green_stack(gen, [t], entry_cap).gmat[0]
     return Propagator(t=t, gmat=gmat, generator=gen)
 
 

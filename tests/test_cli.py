@@ -9,12 +9,14 @@ import json
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from caosim import (
+    OCCUPATION_THRESHOLD,
     ClassificationError,
     PropagatorOverflowError,
     build_generator,
@@ -91,6 +93,21 @@ def test_evolve_overflow_footer_and_exit_code():
     header, rows, comments = parse_csv(text)
     assert len(rows) < 4
     assert comments and comments[0].startswith("overflow at t=")
+
+
+def test_evolve_moment_overflow_is_numerical_failure():
+    # G(t) is fine, but the fourth moments of |alpha|^2 = 1e300 overflow
+    argv = ["evolve", "--delta", "1", "--chi", "1", "--alpha2", "1e300",
+            "--steps", "3"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # and no numpy warning is printed
+        code, text = run_cli(argv)
+        json_code, json_text = run_cli(argv + ["--json"])
+    assert code == json_code == cli.EXIT_NUMERICAL
+    header, rows, comments = parse_csv(text)
+    assert rows == []
+    assert comments == ["overflow at t=0.050000000000000003"]
+    assert json.loads(json_text)["overflow"] == comments[0]
 
 
 def test_evolve_json_schema():
@@ -368,6 +385,23 @@ def test_config_value_of_wrong_type_is_usage_error(tmp_path, command, line):
     assert text == ""
 
 
+@pytest.mark.parametrize(
+    "line, code",
+    [
+        pytest.param("detla = 2", cli.EXIT_USAGE, id="misspelt"),
+        pytest.param("preset = fig1", cli.EXIT_USAGE, id="flag-only"),
+        pytest.param("steps = 3", cli.EXIT_OK, id="evolve-key"),
+    ],
+)
+def test_config_key_of_no_subcommand_is_usage_error(tmp_path, line, code):
+    # a key of another subcommand is allowed: one file serves several
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"delta = 1\nchi = 1\n{line}\n")
+    got, text = run_cli(["classify", "--config", str(cfg)])
+    assert got == code
+    assert (text == "") == (code == cli.EXIT_USAGE)
+
+
 @pytest.mark.parametrize("content", [None, b"delta = \xff\n"],
                          ids=["missing", "not-utf8"])
 def test_unreadable_config_is_usage_error(tmp_path, content):
@@ -432,3 +466,77 @@ def test_fixed_sweep_overflow_leaves_rows_empty():
     assert len(rows) == 4
     for row in rows:
         assert [row[header.index(name)] for name in SWEEP_STATS] == [""] * 5
+
+
+def per_time_evolve(delta, chi, alpha2, phi, times):
+    """The records of ``evolve`` one time at a time, up to the first overflow.
+
+    Returns the records and the time of the overflow, or None.
+    """
+    gen = build_generator(ModelParams(delta, chi))
+    s0 = initial_state(OpticalInit(math.sqrt(alpha2), phi))
+    recs = []
+    for t in times.tolist():
+        try:
+            g = green_function(gen, t)
+        except PropagatorOverflowError:
+            return recs, t
+        with np.errstate(over="ignore", invalid="ignore"):
+            rec = correlation_record(evolve(s0, g), t)
+        n1, n3 = rec.n1 > OCCUPATION_THRESHOLD, rec.n3 > OCCUPATION_THRESHOLD
+        normalized = {"g11": n1, "g33": n3, "g13": n1 and n3}
+        if not (math.isfinite(rec.n1) and math.isfinite(rec.n3)) or any(
+            defined and not math.isfinite(getattr(rec, name) or math.nan)
+            for name, defined in normalized.items()
+        ):
+            return recs, t
+        recs.append(rec)
+    return recs, None
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(
+    delta=st.floats(-3.0, 3.0),
+    chi=st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+    # clear of sqrt(max double), where the last digit decides the overflow
+    alpha2=st.one_of(st.floats(0.0, 9.0), st.floats(1e150, 1e153),
+                     st.just(1e300)),
+    phi=st.floats(0.0, 6.28),
+    t_span=st.tuples(st.integers(0, 2500), st.integers(0, 2500)).map(
+        lambda span: (span[0] / 10.0, span[1] / 10.0)
+    ),
+    steps=st.one_of(st.integers(1, 600), st.integers(250, 600)),
+)
+# past a block edge: G(t) over the cap, moments past the range of doubles
+@example(delta=1.0, chi=1.0, alpha2=4.0, phi=0.5, t_span=(0.0, 250.0), steps=600)
+@example(delta=1.0, chi=1.0, alpha2=4.0, phi=0.5, t_span=(250.0, 0.0), steps=600)
+@example(delta=1.0, chi=1.0, alpha2=1e150, phi=0.5, t_span=(0.0, 8.0), steps=600)
+def test_evolve_blocks_match_per_time_records(
+    delta, chi, alpha2, phi, t_span, steps
+):
+    # ascending or descending spans, past the cap in the fast-growing cases
+    # and past the range of doubles in the moments for the huge seeds
+    t_start, t_end = t_span
+    code, text = run_cli(
+        ["evolve", f"--delta={delta!r}", f"--chi={chi!r}",
+         f"--alpha2={alpha2!r}", f"--phi={phi!r}", f"--t-start={t_start!r}",
+         f"--t-end={t_end!r}", "--steps", str(steps)]
+    )
+    recs, overflow = per_time_evolve(
+        delta, chi, alpha2, phi, np.linspace(t_start, t_end, steps)
+    )
+    header, rows, comments = parse_csv(text)
+    if overflow is None:
+        assert (code, comments) == (cli.EXIT_OK, [])
+    else:
+        assert code == cli.EXIT_NUMERICAL
+        assert comments == [f"overflow at t={overflow:.17g}"]
+    assert len(rows) == len(recs)
+    for row, rec in zip(rows, recs):
+        assert float(row[0]) == rec.t
+        for name, cell in zip(header[1:], row[1:]):
+            want = getattr(rec, name)
+            if want is None:
+                assert cell == ""
+            else:
+                assert float(cell) == pytest.approx(want, rel=1e-12)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -7,8 +9,11 @@ from caosim import (
     SYMPLECTIC_FORM,
     ModelParams,
     PropagatorOverflowError,
+    Regime,
     build_generator,
+    classify_regime,
     green_function,
+    green_stack,
     verify_propagator,
 )
 from caosim.propagator import Propagator
@@ -118,6 +123,35 @@ def test_overflow_diagnostic():
     assert err.value.t == 400.0
     # ratios stay finite even when raw moments cannot: caller guidance
     green_function(gen, 400.0, entry_cap=float("inf"))
+
+
+@pytest.mark.parametrize(
+    "delta,chi,regime",
+    [(2.0, 0.2, Regime.STABLE_I), (1.0, 1.0, Regime.SINGLE_EXPONENTIAL_II),
+     (-1.0, 1.0, Regime.BEATING_EXPONENTIAL_III),
+     (0.0, 1.0, Regime.DEGENERATE_THRESHOLD_IV)],
+)
+def test_stack_equals_single_times(delta, chi, regime):
+    gen = build_generator(ModelParams(delta, chi))
+    assert classify_regime(gen).regime == regime
+    ts = np.concatenate([np.linspace(0.0, 12.0, 97), [3.5, 0.0]])
+    p = green_stack(gen, ts)
+    assert p.gmat.shape == (ts.size, 4, 4)
+    assert np.array_equal(p.t, ts)
+    single = np.stack([green_function(gen, float(t)).gmat for t in ts])
+    assert np.array_equal(p.gmat, single)
+
+
+@pytest.mark.parametrize("ts, first", [((100.0, 150.0, 200.0, 400.0), 200.0),
+                                       ((400.0, 300.0, 200.0, 100.0), 400.0),
+                                       ((100.0, 300.0, 150.0), 300.0)])
+def test_stack_overflow_names_first_time_over_cap(ts, first):
+    gen = build_generator(ModelParams(1.0, 1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning past the cap
+        with pytest.raises(PropagatorOverflowError) as err:
+            green_stack(gen, np.array(ts))
+    assert err.value.t == first
 
 
 def test_verify_propagator_identity():
