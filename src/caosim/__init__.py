@@ -48,6 +48,7 @@ from .observables import (
     LongTimePolicy,
     OscillationSummary,
     correlation_record,
+    evaluate,
     long_time_g2,
     records,
     threshold_g2,

@@ -26,24 +26,20 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    CaosimError,
-    InvalidParameterError,
-    PropagatorOverflowError,
-    TruncationError,
-)
+from .errors import CaosimError, InvalidParameterError, TruncationError
 from .fock import FockConfig, oracle_records
-from .gaussian import OpticalInit, coherent_states, evolve, initial_state
+# green_function, evolve and correlation_record are unused here but stay
+# importable: bench/tracer.py wraps them in cli by name.
+from .gaussian import OpticalInit, coherent_states, evolve, initial_state  # noqa: F401
 from .model import ModelParams, build_generator, classify_regime
-from .observables import (
-    OCCUPATION_THRESHOLD,
+from .observables import (  # noqa: F401
     CorrelationRecord,
     correlation_record,
+    evaluate,
     long_time_g2,
-    records,
     threshold_g2,
 )
-from .propagator import green_function, green_stack
+from .propagator import green_function  # noqa: F401
 
 SCHEMA_VERSION = 1
 
@@ -55,6 +51,13 @@ EXIT_NUMERICAL = 3
 # Times per G(t) stack in ``evolve``: one stack of every time of a long
 # series would hold them all in memory at once.
 EVOLVE_BLOCK = 256
+
+# Most rows of one table (``evolve`` steps, ``sweep`` cells): 100x the
+# largest benchmark table (10000 steps). A fixed-sweep row costs about 1 kB
+# (its record cell, its Python row and its text), so a table at the cap
+# needs about 1 GB; a larger count is a usage error before any array is
+# built, not a failed allocation or a full memory.
+MAX_ROWS = 10**6
 
 # Figure presets: captioned parameters baked in. The phases behind the 3b/3c
 # and 4b/4c panels are not published, so those presets require --phi.
@@ -238,25 +241,41 @@ def cmd_classify(args, out):
     return EXIT_OK
 
 
-def _overflowed(rec: CorrelationRecord) -> np.ndarray:
-    """Where a batched record's moments overflowed: an occupation is not
-    finite, or a correlator is not finite although the occupations it is
-    normalized by are defined (a true 0/0 stays an empty field)."""
-    n1 = rec.n1 > OCCUPATION_THRESHOLD
-    n3 = rec.n3 > OCCUPATION_THRESHOLD
-    return (~(np.isfinite(rec.n1) & np.isfinite(rec.n3))
-            | (n1 & ~np.isfinite(rec.g11)) | (n3 & ~np.isfinite(rec.g33))
-            | (n1 & n3 & ~np.isfinite(rec.g13)))
+def _rows(columns, stop=None) -> list:
+    """The first ``stop`` rows (all by default), in C order, of a table whose
+    columns broadcast together, with None (an empty field) for NaN."""
+    cells = np.stack(np.broadcast_arrays(*columns), -1).reshape(-1, len(columns))
+    return [[None if math.isnan(v) else v for v in row] for row in cells[:stop].tolist()]
 
 
-def _rows(cells: np.ndarray) -> list:
-    """The output rows of a table of floats, with None (an empty field) for NaN."""
-    return [[None if math.isnan(v) else v for v in row] for row in cells.tolist()]
+def _emit_table(args, out, command, params, header, rows, overflow):
+    """Write ``rows``, which stop before the first overflow, at time
+    ``overflow`` (None when there is none): the ``#`` footer, or the JSON
+    ``overflow`` field, names it, and the exit code is 3."""
+    footer = [] if overflow is None else [f"overflow at t={_fmt(overflow)}"]
+    if args.json:
+        _emit_json(out, command, {**params, "columns": header, "rows": rows,
+                                  "overflow": footer[0] if footer else None})
+    else:
+        _emit_csv(out, header, rows, footer)
+    return EXIT_NUMERICAL if footer else EXIT_OK
+
+
+def _check_rows(what, rows):
+    if rows > MAX_ROWS:
+        raise InvalidParameterError(
+            f"{what} asks for {rows} rows, more than MAX_ROWS={MAX_ROWS}"
+        )
 
 
 def cmd_evolve(args, out):
     if args.steps < 1:
         raise InvalidParameterError(f"steps must be >= 1, got {args.steps}")
+    _check_rows("steps", args.steps)
+    if not (math.isfinite(args.t_start) and math.isfinite(args.t_end)):
+        raise InvalidParameterError(
+            f"t_start and t_end must be finite, got {args.t_start}, {args.t_end}"
+        )
     gen = build_generator(ModelParams(args.delta, args.chi))
     s0 = initial_state(OpticalInit(_amplitudes(args.alpha2), args.phi))
     times = np.linspace(args.t_start, args.t_end, args.steps)
@@ -264,47 +283,20 @@ def cmd_evolve(args, out):
     overflow = None
     for start in range(0, times.size, EVOLVE_BLOCK):
         block = times[start:start + EVOLVE_BLOCK]
-        try:
-            g = green_stack(gen, block)
-        except PropagatorOverflowError as exc:
-            # the rows stop at the first time over the cap
-            overflow = exc.t
-            block = block[:np.argmax(block == exc.t)]
-            g = green_stack(gen, block)
-        # moments past the range of doubles become inf and NaN: an overflow
-        with np.errstate(over="ignore", invalid="ignore"):
-            rec = records(evolve(s0, g), block)
-        bad = _overflowed(rec)
-        stop = int(np.argmax(bad)) if bad.any() else block.size
+        rec, stop = evaluate(gen, s0, block)
+        rows += _rows([getattr(rec, name) for name in RECORD_HEADER], stop)
         if stop < block.size:
             overflow = block[stop]
-        cells = np.stack([getattr(rec, name)[:stop] for name in RECORD_HEADER], -1)
-        rows += _rows(cells)
-        if overflow is not None:
             break
-    footer = [] if overflow is None else [f"overflow at t={_fmt(overflow)}"]
-    if args.json:
-        _emit_json(
-            out,
-            "evolve",
-            {
-                "delta": args.delta,
-                "chi": args.chi,
-                "alpha2": args.alpha2,
-                "phi": args.phi,
-                "columns": RECORD_HEADER,
-                "rows": rows,
-                "overflow": footer[0] if footer else None,
-            },
-        )
-    else:
-        _emit_csv(out, RECORD_HEADER, rows, footer)
-    return EXIT_NUMERICAL if footer else EXIT_OK
+    params = {"delta": args.delta, "chi": args.chi, "alpha2": args.alpha2,
+              "phi": args.phi}
+    return _emit_table(args, out, "evolve", params, RECORD_HEADER, rows, overflow)
 
 
 def cmd_sweep(args, out):
     if args.alpha2_count < 1 or args.phi_count < 1:
         raise InvalidParameterError("grid counts must be >= 1")
+    _check_rows("alpha2_count * phi_count", args.alpha2_count * args.phi_count)
     if not 0.0 <= args.phi_min <= args.phi_max < 2.0 * math.pi + 1e-12:
         raise InvalidParameterError("phi range must lie within [0, 2*pi)")
     alpha2s = np.linspace(args.alpha2_min, args.alpha2_max, args.alpha2_count)
@@ -312,20 +304,17 @@ def cmd_sweep(args, out):
         if args.phi_count > 1 else np.array([args.phi_min])
     params = ModelParams(args.delta, args.chi)
     amps = _amplitudes(alpha2s)
+    overflow = None
     if args.time_policy == "fixed":
         # G(t) and the fluctuation moments are the same for every cell: one
         # propagator and one batched record cover the whole grid.
-        try:
-            g = green_function(build_generator(params), args.t)
-        except PropagatorOverflowError:
-            stats = [np.nan] * 5
-        else:
-            rec = records(evolve(coherent_states(amps[:, None], phis), g), args.t)
-            stats = [getattr(rec, name) for name in SWEEP_HEADER[2:]]
-        cells = np.stack(
-            np.broadcast_arrays(alpha2s[:, None], phis, *stats), axis=-1
-        ).reshape(-1, len(SWEEP_HEADER))
-        rows = _rows(cells)
+        rec, stop = evaluate(
+            build_generator(params), coherent_states(amps[:, None], phis), args.t
+        )
+        rows = _rows([alpha2s[:, None], phis,
+                      *(getattr(rec, name) for name in SWEEP_HEADER[2:])], stop)
+        if stop < alpha2s.size * phis.size:
+            overflow = args.t
     else:
         rows = []
         for a2, amp in zip(alpha2s.tolist(), amps.tolist()):
@@ -339,22 +328,12 @@ def cmd_sweep(args, out):
                 else:  # beating regime: report the oscillation means
                     limits = [v if isinstance(v, float) else v.mean for v in limits]
                 rows.append([a2, phi, *limits, None, None])
-    if args.json:
-        _emit_json(
-            out,
-            "sweep",
-            {
-                "delta": args.delta,
-                "chi": args.chi,
-                "time_policy": args.time_policy,
-                "t": args.t if args.time_policy == "fixed" else None,
-                "columns": SWEEP_HEADER,
-                "rows": rows,
-            },
-        )
-    else:
-        _emit_csv(out, SWEEP_HEADER, rows)
-    return EXIT_OK
+    return _emit_table(args, out, "sweep", {
+        "delta": args.delta,
+        "chi": args.chi,
+        "time_policy": args.time_policy,
+        "t": args.t if args.time_policy == "fixed" else None,
+    }, SWEEP_HEADER, rows, overflow)
 
 
 def cmd_threshold(args, out):
@@ -398,49 +377,47 @@ def cmd_oracle_compare(args, out):
     params = ModelParams(args.delta, args.chi)
     init = OpticalInit(_amplitudes(args.alpha2), args.phi)
     cfg = None if args.dim_cap is None else FockConfig(dim_cap=args.dim_cap)
-    gen = build_generator(params)
-
+    fields = RECORD_HEADER[1:]
+    names = fields[:5]  # the compared columns, without the bounds
+    header = ["t", *(f"{n}_{side}" for n in names for side in ("gaussian", "fock")),
+              "occupation_rel_dev", "g2_abs_dev"]
     rows = []
-    status = "PASS"
-    max_dn = 0.0
-    max_dg = 0.0
+    errors = None
+    overflow = None
     try:
         fock_recs, cfg = oracle_records(params, init, times, cfg)
         comments.append(f"truncation: {cfg.nmax_atom}x{cfg.nmax_phot}")
     except TruncationError as exc:
         comments.append(f"truncation inadequate: {exc}")
-        fock_recs = None
-    if fock_recs is None:
         status = "TRUNCATION-INADEQUATE"
-        errors = None
     else:
-        for rec in fock_recs:
-            gauss = correlation_record(
-                evolve(initial_state(init), green_function(gen, rec.t)), rec.t
-            )
-            dn = abs(rec.n3 - gauss.n3) / max(gauss.n3, 1e-300)
-            if gauss.n1 > 0:
-                dn = max(dn, abs(rec.n1 - gauss.n1) / gauss.n1)
-            dg = 0.0
-            for name in ("g11", "g33", "g13", "classical_bound", "quantum_bound"):
-                a, b = getattr(rec, name), getattr(gauss, name)
-                if a is not None and b is not None:
-                    dg = max(dg, abs(a - b))
-            max_dn = max(max_dn, dn)
-            max_dg = max(max_dg, dg)
-            rows.append(
-                [rec.t, gauss.n1, rec.n1, gauss.n3, rec.n3, gauss.g11, rec.g11,
-                 gauss.g33, rec.g33, gauss.g13, rec.g13, dn, dg]
-            )
-        errors = {"max_occupation_rel": max_dn, "max_g2_abs": max_dg}
-        if max_dn > args.rtol_occupation or max_dg > args.atol_g2:
+        rec, stop = evaluate(build_generator(params), initial_state(init), times)
+        if stop < len(times):
+            overflow = times[stop]
+            comments.append(f"overflow at t={_fmt(overflow)}")
+        gauss = {n: getattr(rec, n)[:stop] for n in fields}
+        # an undefined fock correlator (None) becomes NaN
+        fock = {n: np.array([getattr(r, n) for r in fock_recs[:stop]], dtype=float)
+                for n in fields}
+        dn = np.maximum(
+            abs(fock["n3"] - gauss["n3"]) / np.maximum(gauss["n3"], 1e-300),
+            abs(fock["n1"] - gauss["n1"]) / np.where(gauss["n1"] > 0, gauss["n1"], np.inf),
+        )
+        # a correlator undefined (NaN) on either side is not compared
+        dg = np.fmax.reduce([abs(fock[n] - gauss[n]) for n in fields[2:]],
+                            axis=0, initial=0.0)
+        rows = _rows([times[:stop], *(side[n] for n in names for side in (gauss, fock)),
+                      dn, dg])
+        errors = {"max_occupation_rel": float(np.max(dn, initial=0.0)),
+                  "max_g2_abs": float(np.max(dg, initial=0.0))}
+        if overflow is not None:
+            status = "OVERFLOW"
+        elif (errors["max_occupation_rel"] > args.rtol_occupation
+              or errors["max_g2_abs"] > args.atol_g2):
             status = "FAIL"
+        else:
+            status = "PASS"
     comments.append(f"status: {status}")
-    header = [
-        "t", "n1_gaussian", "n1_fock", "n3_gaussian", "n3_fock",
-        "g11_gaussian", "g11_fock", "g33_gaussian", "g33_fock",
-        "g13_gaussian", "g13_fock", "occupation_rel_dev", "g2_abs_dev",
-    ]
     if args.json:
         _emit_json(
             out,
@@ -459,11 +436,7 @@ def cmd_oracle_compare(args, out):
         )
     else:
         _emit_csv(out, header, rows, comments)
-    if status == "PASS":
-        return EXIT_OK
-    if status == "FAIL":
-        return EXIT_COMPARISON_FAILED
-    return EXIT_NUMERICAL
+    return {"PASS": EXIT_OK, "FAIL": EXIT_COMPARISON_FAILED}.get(status, EXIT_NUMERICAL)
 
 
 DELTA = Option("delta", float, REQUIRED)

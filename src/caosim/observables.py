@@ -12,7 +12,8 @@ that bound but never sqrt((g_11 + 1/n_1)(g_33 + 1/n_3)).
 :func:`records` evaluates every field at once, elementwise over the batch
 axes of a Gaussian state (a grid of seeds, a stack of times, or none), with
 NaN where a correlator is undefined; :func:`correlation_record` is its view
-of one unbatched state, with ``None`` there instead.
+of one unbatched state, with ``None`` there instead. :func:`evaluate` takes a
+seed through a stack of times to its records, and finds the first overflow.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import numpy as np
 from .errors import (
     InvalidParameterError,
     NonConvergenceError,
-    PropagatorOverflowError,
     UndefinedCorrelationError,
 )
 from .gaussian import (
@@ -130,6 +130,30 @@ def correlation_record(
     return CorrelationRecord(t, *(None if math.isnan(v) else v for v in values))
 
 
+def evaluate(gen, s0: GaussianState, times) -> tuple[CorrelationRecord, int]:
+    """The records of ``s0`` at ``times``, from one propagator stack and one
+    batched record, and ``stop``, the number of cells before the first
+    overflow.
+
+    The fields broadcast the batch axes of ``s0`` against the shape of
+    ``times``; ``stop`` counts their cells in C order. A cell overflows when
+    its G(t) is over the entry cap, or when its moments pass the range of
+    doubles: an occupation is not finite, or a correlator is not finite
+    although the occupations it is normalized by are defined. A true 0/0
+    stays NaN and is no overflow.
+    """
+    g = green_stack(gen, times, strict=False)  # a slice over the cap is NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        rec = records(evolve(s0, g), g.t)
+        n1, n3 = rec.n1 > OCCUPATION_THRESHOLD, rec.n3 > OCCUPATION_THRESHOLD
+        over = np.ravel(
+            ~(np.isfinite(rec.n1) & np.isfinite(rec.n3))
+            | (n1 & ~np.isfinite(rec.g11)) | (n3 & ~np.isfinite(rec.g33))
+            | (n1 & n3 & ~np.isfinite(rec.g13))
+        )
+    return rec, int(np.argmax(over)) if over.any() else over.size
+
+
 def threshold_g2(
     params: ModelParams,
     init: OpticalInit,
@@ -194,11 +218,18 @@ class OscillationSummary:
     fixed_t_value: float | None = None
 
 
-def _samples(gen, s0: GaussianState, mode: str, times) -> np.ndarray:
-    """The ``mode`` correlator at each of ``times``, from one propagator stack
-    and one batched record."""
-    g = green_stack(gen, times)
-    rec = records(evolve(s0, g), g.t)
+def _samples(gen, s0: GaussianState, mode: str, times, last=None) -> np.ndarray:
+    """The ``mode`` correlator at each of ``times``, from one :func:`evaluate`.
+
+    An overflow is a :class:`NonConvergenceError` that carries ``last``, the
+    statistics of the last window before these times.
+    """
+    rec, stop = evaluate(gen, s0, times)
+    if stop < rec.t.size:
+        raise NonConvergenceError(
+            f"moments overflow at t={float(rec.t[stop])} before convergence",
+            last_window=last,
+        )
     values = getattr(rec, _MODE_FIELDS[mode])
     undefined = np.isnan(values)
     if np.any(undefined):
@@ -253,15 +284,9 @@ def long_time_g2(
     t = policy.t_start
     last = None
     while t <= policy.t_max:
-        try:
-            values = _samples(
-                gen, s0, mode, np.linspace(t, 2.0 * t, policy.samples_per_window)
-            )
-        except PropagatorOverflowError as exc:
-            raise NonConvergenceError(
-                f"moments overflow at t={exc.t} before convergence",
-                last_window=last,
-            ) from exc
+        values = _samples(
+            gen, s0, mode, np.linspace(t, 2.0 * t, policy.samples_per_window), last
+        )
         mean = float(np.mean(values))
         spread = float(values.max() - values.min()) / max(abs(mean), 1e-300)
         if regime == Regime.SINGLE_EXPONENTIAL_II:

@@ -51,37 +51,43 @@ class Propagator:
 
 
 def green_stack(
-    gen: DriftGenerator, times, entry_cap: float = DEFAULT_ENTRY_CAP
+    gen: DriftGenerator,
+    times,
+    entry_cap: float = DEFAULT_ENTRY_CAP,
+    strict: bool = True,
 ) -> Propagator:
-    """Compute the stack G(t) = exp(i M t) for every time of ``times``.
+    """Compute G(t) = exp(i M t) for every time of ``times``, of any shape.
 
     One ``expm`` call covers the whole stack; scipy evaluates each slice by
     the same scaling-and-squaring method as a single matrix, so every slice
-    equals the single-time result bitwise. ``t`` of the result is the 1-D
-    array of times and ``gmat`` has shape ``[len(times), 4, 4]``.
+    equals the single-time result bitwise. ``t`` of the result is the array
+    of times and ``gmat`` has shape ``times.shape + (4, 4)``.
 
-    Raises :class:`PropagatorOverflowError` for the first time, in sequence
-    order, at which any entry magnitude exceeds ``entry_cap`` or is not
-    finite: that time is too deep into exponential instability for raw
-    moments to be representable.
+    Raises :class:`PropagatorOverflowError` for the first time, in C order,
+    at which any entry magnitude exceeds ``entry_cap`` or is not finite: that
+    time is too deep into exponential instability for raw moments to be
+    representable. With ``strict=False`` the slice of such a time is NaN
+    instead, so everything computed from it is NaN.
     """
     times = np.asarray(times, dtype=float)
-    bad_t = ~np.isfinite(times)
+    flat = times.reshape(-1)
+    bad_t = ~np.isfinite(flat)
     if bad_t.any():
-        raise InvalidParameterError(
-            f"t must be finite, got {times[np.argmax(bad_t)]}"
-        )
+        raise InvalidParameterError(f"t must be finite, got {flat[np.argmax(bad_t)]}")
     quad_gen = (_TO_QUAD @ (1j * gen.matrix) @ _TO_LADDER).real
     # past the cap the squarings overflow to inf and NaN; the cap reports it
     with np.errstate(over="ignore", invalid="ignore"):
-        gmat = _TO_LADDER @ expm(quad_gen * times[:, None, None]) @ _TO_QUAD
+        gmat = _TO_LADDER @ expm(quad_gen * flat[:, None, None]) @ _TO_QUAD
         max_entry = np.max(np.abs(gmat), axis=(-2, -1), initial=0.0)
     over = ~(max_entry <= entry_cap)
     if over.any():
         k = int(np.argmax(over))
-        raise PropagatorOverflowError(
-            t=float(times[k]), max_entry=float(max_entry[k]), cap=entry_cap
-        )
+        if strict:
+            raise PropagatorOverflowError(
+                t=float(flat[k]), max_entry=float(max_entry[k]), cap=entry_cap
+            )
+        gmat[over] = np.nan
+    gmat = gmat.reshape(times.shape + (4, 4))
     gmat.setflags(write=False)
     return Propagator(t=times, gmat=gmat, generator=gen)
 
@@ -96,8 +102,7 @@ def green_function(
     :class:`PropagatorOverflowError` when any entry magnitude exceeds
     ``entry_cap``.
     """
-    gmat = green_stack(gen, [t], entry_cap).gmat[0]
-    return Propagator(t=t, gmat=gmat, generator=gen)
+    return Propagator(t=t, gmat=green_stack(gen, t, entry_cap).gmat, generator=gen)
 
 
 def verify_propagator(p: Propagator) -> list[tuple[str, float]]:

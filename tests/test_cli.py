@@ -28,6 +28,7 @@ from caosim import (
 )
 from caosim.observables import threshold_g2
 from caosim.model import ModelParams
+from caosim.fock import FockConfig
 from caosim.gaussian import OpticalInit
 
 
@@ -326,19 +327,17 @@ def test_fixed_sweep_matches_per_cell_records(
          "--alpha2-count", str(alpha2_count), "--phi-count", str(phi_count),
          "--time-policy", "fixed", f"--t={t!r}"]
     )
-    assert code == cli.EXIT_OK
-    header, rows, _ = parse_csv(text)
-    assert len(rows) == alpha2_count * phi_count
+    header, rows, comments = parse_csv(text)
     gen = build_generator(ModelParams(delta, chi))
     try:
         g = green_function(gen, t)
-    except PropagatorOverflowError:
-        g = None
+    except PropagatorOverflowError:  # no rows, the footer and exit 3
+        assert (code, rows, comments) == (cli.EXIT_NUMERICAL, [], [f"overflow at t={t!r}"])
+        return
+    assert code == cli.EXIT_OK
+    assert len(rows) == alpha2_count * phi_count
     for row in rows:
         alpha2, phi = float(row[0]), float(row[1])
-        if g is None:
-            assert all(row[header.index(name)] == "" for name in SWEEP_STATS)
-            continue
         rec = correlation_record(
             evolve(initial_state(OpticalInit(math.sqrt(alpha2), phi)), g), t
         )
@@ -456,16 +455,103 @@ def test_classify_near_delta_zero_is_threshold():
     assert text.startswith("regime: iv (threshold delta=0)")
 
 
-def test_fixed_sweep_overflow_leaves_rows_empty():
+@pytest.mark.parametrize(
+    "extra, rows_before",
+    [
+        pytest.param(["--t", "400"], 0, id="propagator-over-cap"),
+        # only the alpha2=0 cells stay below the range of doubles
+        pytest.param(["--alpha2-max", "1e300", "--alpha2-count", "3", "--t", "1"], 2,
+                     id="moments-overflow"),
+    ],
+)
+def test_fixed_sweep_overflow_is_numerical_failure(extra, rows_before):
+    # the rows stop at the first overflowing cell, as in evolve
+    argv = ["sweep", "--delta", "1", "--chi", "1", "--alpha2-count", "2",
+            "--phi-count", "2", *extra]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # and no numpy warning is printed
+        code, text = run_cli(argv)
+        json_code, json_text = run_cli(argv + ["--json"])
+    assert code == json_code == cli.EXIT_NUMERICAL
+    header, rows, comments = parse_csv(text)
+    assert len(rows) == rows_before
+    assert all(float(row[0]) == 0.0 and row[2] for row in rows)
+    assert comments == [f"overflow at t={extra[-1]}"]
+    doc = json.loads(json_text)
+    assert doc["overflow"] == comments[0]
+    assert len(doc["rows"]) == rows_before
+
+
+def test_sweep_json_has_no_overflow_without_one():
     code, text = run_cli(
         ["sweep", "--delta", "1", "--chi", "1", "--alpha2-count", "2",
-         "--phi-count", "2", "--t", "400"]
+         "--phi-count", "2", "--t", "2", "--json"]
     )
     assert code == cli.EXIT_OK
-    header, rows, _ = parse_csv(text)
-    assert len(rows) == 4
-    for row in rows:
-        assert [row[header.index(name)] for name in SWEEP_STATS] == [""] * 5
+    doc = json.loads(text)
+    assert doc["overflow"] is None
+    assert len(doc["rows"]) == 4
+
+
+def test_longtime_sweep_leaves_overflowing_cell_empty():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, text = run_cli(
+            ["sweep", "--delta", "1", "--chi", "1", "--time-policy", "longtime",
+             "--alpha2-min", "1e150", "--alpha2-max", "1e150",
+             "--alpha2-count", "1", "--phi-count", "1"]
+        )
+    assert code == cli.EXIT_OK
+    header, rows, comments = parse_csv(text)
+    assert comments == []
+    assert [row[2:] for row in rows] == [[""] * 5]
+
+
+@pytest.mark.parametrize("span", [["--t-end=inf"], ["--t-start=-inf"], ["--t-end=nan"]])
+def test_evolve_nonfinite_time_span_is_usage_error(span):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # checked before the time grid is built
+        code, text = run_cli(["evolve", "--delta", "1", "--chi", "1", "--steps", "3",
+                              *span])
+    assert code == cli.EXIT_USAGE
+    assert text == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["sweep", "--alpha2-count", "1000000", "--phi-count", "1000000"],
+                     id="sweep"),
+        pytest.param(["evolve", "--steps", str(10**12)], id="evolve"),
+    ],
+)
+def test_table_over_max_rows_is_usage_error(argv):
+    # rejected before any array is built: the grids would need terabytes
+    code, text = run_cli([*argv, "--delta", "1", "--chi", "1"])
+    assert code == cli.EXIT_USAGE
+    assert text == ""
+
+
+def test_oracle_compare_rows_stop_at_moment_overflow(monkeypatch):
+    # the Fock oracle cannot hold |alpha|^2 = 1e300; stand in the Gaussian
+    # records so that only the overflow rule decides the table
+    def gaussian_oracle(params, init, times, cfg):
+        gen = build_generator(params)
+        return [correlation_record(evolve(initial_state(init), green_function(gen, t)), t)
+                for t in times], cfg or FockConfig()
+
+    monkeypatch.setattr(cli, "oracle_records", gaussian_oracle)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, text = run_cli(
+                ["oracle-compare", "--delta", "1", "--chi", "1",
+                 "--alpha2", "1e300", "--times", "0.5,1.0"]
+            )
+    assert code == cli.EXIT_NUMERICAL
+    header, rows, comments = parse_csv(text)
+    assert rows == []
+    assert comments[-2:] == ["overflow at t=0.5", "status: OVERFLOW"]
 
 
 def per_time_evolve(delta, chi, alpha2, phi, times):

@@ -1,7 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from caosim import (
@@ -9,17 +11,21 @@ from caosim import (
     InvalidParameterError,
     LongTimePolicy,
     ModelParams,
+    NonConvergenceError,
     OpticalInit,
     OscillationSummary,
     UndefinedCorrelationError,
     build_generator,
+    coherent_states,
     correlation_record,
     evolve,
     green_function,
     initial_state,
     long_time_g2,
     threshold_g2,
+    verify_propagator,
 )
+from caosim.observables import evaluate
 from tests.test_gaussian import VACUUM_SMAT, atomic_zero_mean_state
 
 
@@ -188,6 +194,72 @@ def test_long_time_regime_iii_fixed_time_zero():
             ModelParams(-1.0, 1.0), OpticalInit(1.0, 0.0), "atomic",
             LongTimePolicy(fixed_t=0.0),
         )
+
+
+@pytest.mark.parametrize(
+    "amp, policy, t, last_t",
+    [
+        pytest.param(1e75, LongTimePolicy(), 10.0, None, id="first-window"),
+        # rtol=0 never converges: the windows double until the moments overflow
+        pytest.param(1e60, LongTimePolicy(rtol=0.0), 45.0, 20.0, id="moments"),
+        pytest.param(0.0, LongTimePolicy(rtol=0.0), 180.0, 80.0, id="propagator-cap"),
+    ],
+)
+def test_long_time_overflow_is_nonconvergence(amp, policy, t, last_t):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonConvergenceError, match=f"moments overflow at t={t}") as err:
+            long_time_g2(ModelParams(1.0, 1.0), OpticalInit(amp, 0.3), "atomic", policy)
+    last = err.value.last_window
+    assert (last and last[2]) == last_t
+
+
+def test_evaluate_stops_at_first_overflowing_cell_in_c_order():
+    gen = build_generator(ModelParams(1.0, 1.0))
+    # a 3x2 grid of seeds: the alpha2 = 1e300 row overflows its moments
+    seeds = coherent_states(np.sqrt([[0.0], [4.0], [1e300]]), np.array([0.0, 1.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rec, stop = evaluate(gen, seeds, 1.0)
+        assert rec.g11.shape == (3, 2)
+        assert stop == 4
+        # a G(t) over the entry cap overflows every cell
+        assert evaluate(gen, seeds, 400.0)[1] == 0
+        # a stack of times: the first over the cap, in sequence order
+        assert evaluate(gen, initial_state(OpticalInit(1.0)), [1.0, 400.0, 2.0])[1] == 1
+        # 0/0 is no overflow: with chi = 0 every correlator is undefined
+        rec, stop = evaluate(build_generator(ModelParams(1.0, 0.0)),
+                             initial_state(OpticalInit(0.0)), [0.5, 1.0])
+    assert stop == 2
+    assert np.isnan(rec.g11).all() and np.isnan(rec.g13).all()
+    want = correlation_record(state_at(1.0, 1.0, 2.0, 1.0, 1.0), 1.0)
+    assert rec.t.tolist() == [0.5, 1.0]
+    got = evaluate(gen, seeds, 1.0)[0]
+    for name in ("n1", "n3", "g11", "g33", "g13", "classical_bound", "quantum_bound"):
+        assert getattr(got, name)[1, 1] == pytest.approx(getattr(want, name), rel=1e-12)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(
+    delta=st.floats(-4.0, 4.0),
+    chi=st.floats(0.0, 2.0),
+    alpha2=st.one_of(st.just(0.0), st.floats(0.0, 9.0)),
+    phi=st.floats(0.0, 6.28),
+    # growth rates stay below 2 here, so max|G| < e^40, far below the cap
+    t=st.floats(0.0, 20.0),
+)
+def test_bounds_order_and_propagator_invariants(delta, chi, alpha2, phi, t):
+    p = green_function(build_generator(ModelParams(delta, chi)), t)
+    rec = correlation_record(evolve(initial_state(OpticalInit(math.sqrt(alpha2), phi)), p), t)
+    # the vacuum seed reaches g13 = quantum_bound
+    if rec.quantum_bound is not None:
+        if rec.classical_bound is not None:
+            assert rec.classical_bound <= rec.quantum_bound * (1 + 1e-9)
+        assert rec.g13 <= rec.quantum_bound * (1 + 1e-9)
+    residuals = dict(verify_propagator(p))
+    scale = max(float(np.max(np.abs(p.gmat))) ** 2, 1.0)
+    assert residuals["symplectic"] <= 1e-12 * scale
+    assert residuals["conjugation"] <= 1e-12 * scale
 
 
 def test_long_time_rejects_stable_regime():

@@ -154,6 +154,20 @@ def test_stack_overflow_names_first_time_over_cap(ts, first):
     assert err.value.t == first
 
 
+def test_lenient_stack_marks_times_over_cap_nan():
+    gen = build_generator(ModelParams(1.0, 1.0))
+    ts = np.array([[100.0, 400.0], [3.5, 300.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p = green_stack(gen, ts, strict=False)
+    assert p.gmat.shape == (2, 2, 4, 4)
+    over = np.isnan(p.gmat).all(axis=(-2, -1))
+    assert over.tolist() == [[False, True], [False, True]]
+    assert np.array_equal(p.gmat[~over], green_stack(gen, ts[~over]).gmat)
+    # a single time is a 0-d stack
+    assert np.array_equal(green_stack(gen, 3.5).gmat, p.gmat[1, 0])
+
+
 def test_verify_propagator_identity():
     gen = build_generator(ModelParams(0.9, 0.4))
     residuals = dict(verify_propagator(green_function(gen, 0.0)))
