@@ -45,7 +45,6 @@ from .gaussian import (
 from .observables import (
     OCCUPATION_THRESHOLD,
     CorrelationRecord,
-    LongTimePolicy,
     OscillationSummary,
     correlation_record,
     evaluate,

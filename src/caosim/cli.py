@@ -319,14 +319,14 @@ def cmd_sweep(args, out):
         rows = []
         for a2, amp in zip(alpha2s.tolist(), amps.tolist()):
             for phi in phis.tolist():
-                init = OpticalInit(amp, phi)
-                try:
-                    limits = [long_time_g2(params, init, mode)
-                              for mode in ("atomic", "optical", "cross")]
+                try:  # one walk of long-time windows for all three modes
+                    limits = long_time_g2(params, OpticalInit(amp, phi),
+                                          ("atomic", "optical", "cross"))
                 except CaosimError:
                     limits = [None] * 3
-                else:  # beating regime: report the oscillation means
-                    limits = [v if isinstance(v, float) else v.mean for v in limits]
+                else:  # beating regime: the oscillation means
+                    means = limits if isinstance(limits, np.ndarray) else limits.mean
+                    limits = means.tolist()
                 rows.append([a2, phi, *limits, None, None])
     return _emit_table(args, out, "sweep", {
         "delta": args.delta,
@@ -360,6 +360,9 @@ def cmd_threshold(args, out):
 
 
 def cmd_oracle_compare(args, out):
+    tols = (args.rtol_occupation, args.atol_g2)
+    if not all(0.0 <= tol < math.inf for tol in tols):  # a NaN would always pass
+        raise InvalidParameterError(f"tolerances must be finite and >= 0, got {tols}")
     try:
         times = sorted(float(v) for v in args.times.split(","))
         if not all(map(math.isfinite, times)):

@@ -14,7 +14,6 @@ import conftest
 
 from caosim import (
     GaussianState,
-    LongTimePolicy,
     ModelParams,
     OpticalInit,
     OscillationSummary,

@@ -243,14 +243,16 @@ def test_oracle_compare_pass():
 
 
 def test_oracle_compare_truncation_inadequate():
-    # a dimension cap below the smallest usable truncation cannot converge
-    code, text = run_cli(
-        ["oracle-compare", "--delta", "1", "--chi", "1",
-         "--times", "2.0", "--dim-cap", "64", "--json"]
-    )
-    assert code == cli.EXIT_NUMERICAL
-    doc = json.loads(text)
-    assert doc["status"] == "TRUNCATION-INADEQUATE"
+    # a dimension cap below the smallest usable truncation cannot converge,
+    # and chi=1e10 would need about 1e9 Krylov steps in the first 16x16 box
+    for chi, times, cap in (("1", "2.0", "64"), ("1e10", "0.1", "1024")):
+        code, text = run_cli(
+            ["oracle-compare", "--delta", "1", "--chi", chi,
+             "--times", times, "--dim-cap", cap, "--json"]
+        )
+        assert code == cli.EXIT_NUMERICAL
+        doc = json.loads(text)
+        assert doc["status"] == "TRUNCATION-INADEQUATE"
 
 
 def test_oracle_compare_late_time_warning_comment():
@@ -359,6 +361,13 @@ def test_fixed_sweep_matches_per_cell_records(
         ["oracle-compare", "--delta", "1", "--chi", "1", "--times", "0.5,x"],
         ["oracle-compare", "--delta", "1", "--chi", "1", "--times", "nan"],
         ["oracle-compare", "--delta", "1", "--chi", "1", "--times", "0.5,inf"],
+        ["classify", "--delta", "-1", "--chi", "1", "--tol", "2"],
+        ["oracle-compare", "--delta", "1", "--chi", "1", "--times", "0.1",
+         "--rtol-occupation", "nan"],
+        ["oracle-compare", "--delta", "1", "--chi", "1", "--times", "0.1",
+         "--atol-g2", "nan"],
+        ["oracle-compare", "--delta", "1", "--chi", "1", "--times", "0.1",
+         "--atol-g2", "-1"],
     ],
 )
 def test_bad_values_are_usage_errors(argv):
@@ -373,10 +382,13 @@ def test_bad_values_are_usage_errors(argv):
         pytest.param("evolve", "steps = 12.5", id="steps"),
         pytest.param("oracle-compare", "dim_cap = abc", id="dim_cap"),
         pytest.param("sweep", "time_policy = foo", id="time_policy"),
+        # a NaN tolerance would pass every comparison
+        pytest.param("oracle-compare", "atol_g2 = nan", id="atol_g2"),
     ],
 )
 def test_config_value_of_wrong_type_is_usage_error(tmp_path, command, line):
-    # a config value is read with its flag's type or choices
+    # a config value is read with its flag's type or choices, and checked as
+    # the flag's value is
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"delta = 1\nchi = 1\n{line}\n")
     code, text = run_cli([command, "--config", str(cfg)])
@@ -499,6 +511,20 @@ def test_longtime_sweep_leaves_overflowing_cell_empty():
         code, text = run_cli(
             ["sweep", "--delta", "1", "--chi", "1", "--time-policy", "longtime",
              "--alpha2-min", "1e150", "--alpha2-max", "1e150",
+             "--alpha2-count", "1", "--phi-count", "1"]
+        )
+    assert code == cli.EXIT_OK
+    header, rows, comments = parse_csv(text)
+    assert comments == []
+    assert [row[2:] for row in rows] == [[""] * 5]
+
+
+def test_longtime_sweep_leaves_undefined_cell_empty():
+    # at chi=1e-8 from the vacuum every long-time correlator is 0/0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, text = run_cli(
+            ["sweep", "--delta", "0", "--chi", "1e-8", "--time-policy", "longtime",
              "--alpha2-count", "1", "--phi-count", "1"]
         )
     assert code == cli.EXIT_OK

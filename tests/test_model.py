@@ -206,5 +206,7 @@ def test_chi_zero_spectrum_exact():
 
 def test_tol_must_be_positive():
     gen = build_generator(ModelParams(1.0, 1.0))
-    with pytest.raises(InvalidParameterError):
-        classify_regime(gen, tol=0.0)
+    # at tol >= 1 the threshold test would hold for every delta
+    for tol in (0.0, math.nan, math.inf, 1.0, 2.0):
+        with pytest.raises(InvalidParameterError):
+            classify_regime(gen, tol=tol)

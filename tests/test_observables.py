@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from caosim import (
+    CaosimError,
     GaussianState,
     InvalidParameterError,
-    LongTimePolicy,
     ModelParams,
     NonConvergenceError,
     OpticalInit,
@@ -25,6 +25,7 @@ from caosim import (
     threshold_g2,
     verify_propagator,
 )
+from caosim import observables
 from caosim.observables import evaluate
 from tests.test_gaussian import VACUUM_SMAT, atomic_zero_mean_state
 
@@ -172,44 +173,99 @@ def test_long_time_threshold_matches_closed_form():
 def test_long_time_regime_iii_summary():
     params = ModelParams(-1.0, 1.0)
     init = OpticalInit(0.0, 0.0)
-    summary = long_time_g2(
-        params, init, "atomic", LongTimePolicy(t_ref=30.0, fixed_t=8.0)
-    )
+    summary = long_time_g2(params, init, "atomic")
     assert isinstance(summary, OscillationSummary)
     assert summary.minimum <= summary.mean <= summary.maximum
-    assert summary.fixed_t_value is not None
     assert summary.period > 0
 
 
-def test_long_time_regime_iii_fixed_time_zero():
-    # fixed_t=0.0 is a request like any other: light is coherent at t=0
-    summary = long_time_g2(
-        ModelParams(-1.0, 1.0), OpticalInit(1.0, 0.0), "optical",
-        LongTimePolicy(fixed_t=0.0),
-    )
-    assert summary.fixed_t_value == pytest.approx(1.0, rel=1e-12)
-    # the atomic mode is empty at t=0, so its g2 there is 0/0
-    with pytest.raises(UndefinedCorrelationError):
-        long_time_g2(
-            ModelParams(-1.0, 1.0), OpticalInit(1.0, 0.0), "atomic",
-            LongTimePolicy(fixed_t=0.0),
-        )
+MODES = ("atomic", "optical", "cross")
+CHI_NEGATIVE_SURFACE = 2.0 / math.sqrt(3.0)  # (1 - delta^2)^2 = 16 chi^2 |delta| at -3
+
+
+def _outcome(call):
+    try:
+        return call()
+    except CaosimError as exc:
+        return exc
 
 
 @pytest.mark.parametrize(
-    "amp, policy, t, last_t",
+    "delta, chi, init",
     [
-        pytest.param(1e75, LongTimePolicy(), 10.0, None, id="first-window"),
-        # rtol=0 never converges: the windows double until the moments overflow
-        pytest.param(1e60, LongTimePolicy(rtol=0.0), 45.0, 20.0, id="moments"),
-        pytest.param(0.0, LongTimePolicy(rtol=0.0), 180.0, 80.0, id="propagator-cap"),
+        pytest.param(1.0, 1.0, OpticalInit(2.0, 0.3), id="ii"),
+        pytest.param(-1.0, 1.0, OpticalInit(1.0, 0.5), id="iii"),
+        pytest.param(0.0, 1.0, OpticalInit(2.0, 0.0), id="delta=0"),
+        # the modes converge at the 5th, 6th and 7th window
+        pytest.param(4.0, 1.0, OpticalInit(math.sqrt(8.0), 0.0), id="delta=4chi^2"),
+        # the 3rd, 5th and 4th window
+        pytest.param(-3.0, CHI_NEGATIVE_SURFACE, OpticalInit(3.0, 0.75 * math.pi),
+                     id="negative-surface"),
+        # the atomic mode never converges, the others at the 4th and 5th window
+        pytest.param(-3.0, CHI_NEGATIVE_SURFACE, OpticalInit(1.0, 0.25 * math.pi),
+                     id="negative-surface-nonconvergent"),
     ],
 )
-def test_long_time_overflow_is_nonconvergence(amp, policy, t, last_t):
+def test_long_time_modes_share_windows(monkeypatch, delta, chi, init):
+    params = ModelParams(delta, chi)
+    windows = []
+
+    def evaluate_counted(*args):
+        windows[-1] += 1
+        return evaluate(*args)
+
+    monkeypatch.setattr(observables, "evaluate", evaluate_counted)
+
+    def walk(mode):
+        windows.append(0)
+        return _outcome(lambda: long_time_g2(params, init, mode))
+
+    singles = [walk(m) for m in MODES]
+    got = walk(MODES)
+    # one evaluation per window serves every mode still pending
+    assert windows[-1] == max(windows[:-1])
+    errors = [e for e in singles if isinstance(e, CaosimError)]
+
+    def error_key(e):
+        return type(e), str(e), getattr(e, "last_window", None)
+
+    if errors:
+        # the error of the first mode to fail, as its own call raises it
+        assert error_key(got) in [error_key(e) for e in errors]
+    elif isinstance(got, OscillationSummary):
+        for name in ("minimum", "maximum", "mean"):
+            assert getattr(got, name).tolist() == [getattr(s, name) for s in singles]
+        assert got.period == singles[0].period
+    else:
+        assert isinstance(got, np.ndarray)
+        assert got.tolist() == singles
+
+
+def test_long_time_vanishing_occupations_are_undefined():
+    # at chi=1e-8 from the vacuum both occupations stay near 4e-16 on every
+    # window, so every mode is 0/0
+    params, init = ModelParams(0.0, 1e-8), OpticalInit(0.0, 0.0)
+    for mode in (*MODES, MODES):
+        with pytest.raises(UndefinedCorrelationError):
+            long_time_g2(params, init, mode)
+
+
+@pytest.mark.parametrize(
+    "amp, rtol, t, last_t",
+    [
+        pytest.param(1e75, None, 10.0, None, id="first-window"),
+        # rtol=0 never converges: the windows double until the moments overflow
+        pytest.param(1e60, 0.0, 45.0, 20.0, id="moments"),
+        pytest.param(0.0, 0.0, 180.0, 80.0, id="propagator-cap"),
+    ],
+)
+def test_long_time_overflow_is_nonconvergence(monkeypatch, amp, rtol, t, last_t):
+    if rtol is not None:
+        monkeypatch.setattr(observables, "_RTOL", rtol)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NonConvergenceError, match=f"moments overflow at t={t}") as err:
-            long_time_g2(ModelParams(1.0, 1.0), OpticalInit(amp, 0.3), "atomic", policy)
+            long_time_g2(ModelParams(1.0, 1.0), OpticalInit(amp, 0.3), "atomic")
     last = err.value.last_window
     assert (last and last[2]) == last_t
 
