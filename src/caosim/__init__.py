@@ -9,7 +9,6 @@ Fock-space oracle.
 
 from .errors import (
     CaosimError,
-    ClassificationError,
     InvalidParameterError,
     NonConvergenceError,
     PropagatorOverflowError,

@@ -299,6 +299,8 @@ def cmd_sweep(args, out):
     _check_rows("alpha2_count * phi_count", args.alpha2_count * args.phi_count)
     if not 0.0 <= args.phi_min <= args.phi_max < 2.0 * math.pi + 1e-12:
         raise InvalidParameterError("phi range must lie within [0, 2*pi)")
+    # checked before the grid, which would turn an infinite end into NaN
+    _amplitudes([args.alpha2_min, args.alpha2_max])
     alpha2s = np.linspace(args.alpha2_min, args.alpha2_max, args.alpha2_count)
     phis = np.linspace(args.phi_min, args.phi_max, args.phi_count, endpoint=False) \
         if args.phi_count > 1 else np.array([args.phi_min])

@@ -9,10 +9,6 @@ class InvalidParameterError(CaosimError):
     """A model parameter is non-finite or out of its allowed range."""
 
 
-class ClassificationError(CaosimError):
-    """The eigenfrequency spectrum does not match any known regime pattern."""
-
-
 class PropagatorOverflowError(CaosimError):
     """A propagator entry exceeded the configured magnitude cap.
 

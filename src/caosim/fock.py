@@ -175,23 +175,29 @@ def evolve_fock(
     Exact within the truncation of ``cfg``. A returned state is flagged
     untrusted when the top two levels of either mode carry more than
     ``cfg.tail_tol``. Times that need more than ``_MAX_STEPS`` Krylov steps
-    in all raise :class:`TruncationError` before any step is taken.
+    in all, or a Hamiltonian 1-norm or step count past the range of doubles,
+    raise :class:`TruncationError` before any step is taken.
     """
     if abs(psi0.norm - 1.0) > 1e-10:
         raise InvalidParameterError(f"psi0 not normalized: |psi|={psi0.norm}")
-    h = sparse_hamiltonian(params, cfg)
-    n = h.shape[0]
-    shifted = h - (h.diagonal().sum() / n) * sparse.eye(n, format="csc")
-    onenorm = float(abs(shifted).sum(axis=0).max())
-    h = (-1j) * h
-    flat = psi0.amplitudes.reshape(-1)
-    dts = np.diff(sorted(times), prepend=0.0)
-    steps = np.maximum(1.0, np.ceil(abs(dts) * onenorm / _STEP_NORM))
-    if not steps.sum() <= _MAX_STEPS:  # or NaN, 0 * inf at a 1-norm of inf
+    with np.errstate(over="ignore", invalid="ignore"):  # named below instead
+        h = sparse_hamiltonian(params, cfg)
+        n = h.shape[0]
+        shifted = h - (h.diagonal().sum() / n) * sparse.eye(n, format="csc")
+        onenorm = float(abs(shifted).sum(axis=0).max())
+        dts = np.diff(sorted(times), prepend=0.0)
+        steps = np.maximum(1.0, np.ceil(abs(dts) * onenorm / _STEP_NORM))
+    for what, value in (("Hamiltonian 1-norm", onenorm),
+                        ("Krylov step count", steps.sum())):
+        if not math.isfinite(value):
+            raise TruncationError(f"{what} is past the range of doubles")
+    if steps.sum() > _MAX_STEPS:
         raise TruncationError(
             f"evolution needs {steps.sum():.3e} Krylov steps > {_MAX_STEPS} "
             f"(Hamiltonian 1-norm {onenorm:.3e})"
         )
+    h = (-1j) * h
+    flat = psi0.amplitudes.reshape(-1)
     states = []
     for dt, count in zip(dts.tolist(), steps.astype(int).tolist()):
         for _ in range(count):

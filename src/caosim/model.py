@@ -9,13 +9,14 @@ inverse trap-mode frequency).
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ClassificationError, InvalidParameterError
+from .errors import InvalidParameterError
 
 # Commutator metric J_pq = <[x_p, x_q]>: [c, c†] = [a, a†] = 1.
 SYMPLECTIC_FORM = np.array(
@@ -96,7 +97,6 @@ class RegimeReport:
     omega: float | None = None
     gamma: float | None = None
     threshold_kind: ThresholdKind | None = None
-    degenerate_pairs: tuple = field(default=(), repr=False)
 
 
 def build_generator(params: ModelParams) -> DriftGenerator:
@@ -119,13 +119,9 @@ def eigenfrequencies(gen: DriftGenerator) -> np.ndarray:
     return np.linalg.eigvals(gen.matrix)
 
 
-def _param_scale(params: ModelParams) -> float:
-    return max(1.0, abs(params.delta), 4.0 * params.chi**2)
-
-
-def _critical_condition(params: ModelParams, tol: float) -> ThresholdKind | None:
-    d, chi = params.delta, params.chi
-    pscale = _param_scale(params)
+def _critical_condition(d, chi, tol: float) -> ThresholdKind | None:
+    """The threshold surface that (d, chi) lies on within the band ``tol``, or None."""
+    pscale = max(1.0, abs(d), 4.0 * chi**2)
     if abs(d) <= tol * pscale:
         return ThresholdKind.DELTA_ZERO
     if abs(d - 4.0 * chi**2) <= tol * pscale:
@@ -138,69 +134,41 @@ def _critical_condition(params: ModelParams, tol: float) -> ThresholdKind | None
     return None
 
 
+@np.errstate(over="raise")  # no intermediate may pass the range of doubles
 def classify_regime(gen: DriftGenerator, tol: float = 1e-9) -> RegimeReport:
-    """Classify the stability regime from the spectrum of the generator.
+    """Classify the stability regime from the characteristic polynomial of M.
 
-    Threshold (regime iv) parameters are detected algebraically on
-    (delta, chi) first, because the exact critical conditions are far
-    better conditioned than detecting an eigenvalue collision; the spectral
-    degeneracy is then confirmed with a square-root-widened tolerance
-    (eigenvalues of a defective matrix split as the square root of the
-    perturbation). The window 4 sqrt(tol) scale uses the parameter scale of
-    the algebraic test. It is twice the largest split that test admits: near
-    delta=0 the split is 4 chi sqrt|delta|, which reaches 2 sqrt(tol) scale
-    at the edge of the test, and near delta=4 chi^2 it is at most
-    1.42 sqrt|delta - 4 chi^2|.
+    The eigenfrequencies solve w^4 - (1 + delta^2) w^2 + delta (delta - 4 chi^2)
+    = 0, whose discriminant in w^2 is D = (1 - delta^2)^2 + 16 chi^2 delta. By sign:
+
+    - iv: on delta = 0, delta = 4 chi^2 or (at delta < 0) D = 0, within the
+      roundoff band ``tol``, which must lie in (0, 1e-6];
+    - iii: else if delta < 0 and D < 0, with omega + i gamma the root
+      sqrt((1 + delta^2 + i sqrt(-D)) / 2);
+    - ii: else if 0 < delta < 4 chi^2, with omega^2 = (1 + delta^2 + sqrt D) / 2
+      and gamma^2 = -delta (delta - 4 chi^2) / omega^2 (no cancellation);
+    - i: every other point, where both roots w^2 are positive.
+
+    ``eigenfrequencies`` are LAPACK's, for display only. An intermediate past
+    the range of doubles (4 chi^2 at chi=1e154) raises FloatingPointError.
     """
-    # at tol >= 1 the algebraic test holds for every delta: all would be iv
-    if not 0 < tol < 1:
-        raise InvalidParameterError(f"tol must be in (0, 1), got {tol}")
+    if not 0 < tol <= 1e-6:
+        raise InvalidParameterError(
+            f"tol is a roundoff band and must be in (0, 1e-6], got {tol}"
+        )
+    d, chi = np.float64(gen.params.delta), np.float64(gen.params.chi)
+    kind = _critical_condition(d, chi, tol)
     freqs = eigenfrequencies(gen)
-    scale = max(float(np.max(np.abs(freqs))), 1.0)
-
-    kind = _critical_condition(gen.params, tol)
     if kind is not None:
-        degen_tol = 4.0 * math.sqrt(tol) * _param_scale(gen.params)
-        pairs = tuple(
-            (i, j)
-            for i in range(4)
-            for j in range(i + 1, 4)
-            if abs(freqs[i] - freqs[j]) <= degen_tol
-        )
-        if not pairs:
-            raise ClassificationError(
-                f"parameters satisfy critical condition {kind.value} but the "
-                f"spectrum {freqs} shows no degeneracy within {degen_tol:.3e}"
-            )
-        return RegimeReport(
-            eigenfrequencies=freqs,
-            regime=Regime.DEGENERATE_THRESHOLD_IV,
-            threshold_kind=kind,
-            degenerate_pairs=pairs,
-        )
-
-    re = np.where(np.abs(freqs.real) <= tol * scale, 0.0, freqs.real)
-    im = np.where(np.abs(freqs.imag) <= tol * scale, 0.0, freqs.imag)
-
-    if np.all(im == 0.0):
-        return RegimeReport(eigenfrequencies=freqs, regime=Regime.STABLE_I)
-
-    real_only = (im == 0.0) & (re != 0.0)
-    imag_only = (re == 0.0) & (im != 0.0)
-    if np.count_nonzero(real_only) == 2 and np.count_nonzero(imag_only) == 2:
-        return RegimeReport(
-            eigenfrequencies=freqs,
-            regime=Regime.SINGLE_EXPONENTIAL_II,
-            omega=float(np.max(np.abs(re[real_only]))),
-            gamma=float(np.max(im[imag_only])),
-        )
-    if np.all((re != 0.0) & (im != 0.0)):
-        return RegimeReport(
-            eigenfrequencies=freqs,
-            regime=Regime.BEATING_EXPONENTIAL_III,
-            omega=float(np.max(np.abs(re))),
-            gamma=float(np.max(im)),
-        )
-    raise ClassificationError(
-        f"spectrum {freqs} matches no regime pattern at tol={tol}"
-    )
+        return RegimeReport(freqs, Regime.DEGENERATE_THRESHOLD_IV, threshold_kind=kind)
+    if d > 4.0 * chi**2:  # both roots w^2 are positive; D may be past the doubles
+        return RegimeReport(freqs, Regime.STABLE_I)
+    disc = (1.0 - d**2) ** 2 + 16.0 * chi**2 * d
+    if d > 0.0:
+        w2 = (1.0 + d**2 + math.sqrt(disc)) / 2.0
+        return RegimeReport(freqs, Regime.SINGLE_EXPONENTIAL_II, math.sqrt(w2),
+                            math.sqrt(-d * (d - 4.0 * chi**2) / w2))
+    if disc < 0.0:
+        w = cmath.sqrt(complex(1.0 + d**2, math.sqrt(-disc)) / 2.0)
+        return RegimeReport(freqs, Regime.BEATING_EXPONENTIAL_III, w.real, w.imag)
+    return RegimeReport(freqs, Regime.STABLE_I)

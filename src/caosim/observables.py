@@ -40,7 +40,7 @@ from .gaussian import (
     moment4,
     occupation,
 )
-from .model import ModelParams, Regime, build_generator, classify_regime
+from .model import ModelParams, Regime, ThresholdKind, build_generator, classify_regime
 # green_function is unused here but stays importable: bench/tracer.py wraps
 # observables.green_function by name.
 from .propagator import green_function, green_stack  # noqa: F401
@@ -162,19 +162,25 @@ def threshold_g2(
 ) -> float:
     """Closed-form asymptotic g2 on the instability thresholds delta_c in {0, 4 chi^2}.
 
-    On those critical surfaces the field amplitudes grow linearly in time and
-    both single-mode correlations approach the same constant, which lies in
-    [1, 3] for every intensity and phase.
+    :func:`classify_regime`, with ``tol``, must put ``delta_c`` on one of those
+    two surfaces and ``params`` on the same one. On those critical surfaces
+    the field amplitudes grow linearly in time and both single-mode
+    correlations approach the same constant, which lies in [1, 3] for every
+    intensity and phase.
     """
     chi = params.chi
     if chi <= 0:
         raise InvalidParameterError("threshold formula requires chi > 0")
-    pscale = max(1.0, abs(delta_c))
-    if abs(delta_c) > tol and abs(delta_c - 4.0 * chi**2) > tol * pscale:
+
+    def surface(delta):
+        return classify_regime(build_generator(ModelParams(delta, chi)), tol).threshold_kind
+
+    kind = surface(delta_c)
+    if kind not in (ThresholdKind.DELTA_ZERO, ThresholdKind.DELTA_FOUR_CHI_SQ):
         raise InvalidParameterError(
             f"delta_c must be 0 or 4*chi^2={4.0 * chi**2}, got {delta_c}"
         )
-    if abs(params.delta - delta_c) > tol * pscale:
+    if surface(params.delta) is not kind:
         raise InvalidParameterError(
             f"params.delta={params.delta} is off the critical surface delta={delta_c}"
         )

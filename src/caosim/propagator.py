@@ -74,9 +74,10 @@ def green_stack(
     bad_t = ~np.isfinite(flat)
     if bad_t.any():
         raise InvalidParameterError(f"t must be finite, got {flat[np.argmax(bad_t)]}")
-    quad_gen = (_TO_QUAD @ (1j * gen.matrix) @ _TO_LADDER).real
-    # past the cap the squarings overflow to inf and NaN; the cap reports it
+    # past the cap the generator or the squarings overflow to inf and NaN;
+    # the cap reports it
     with np.errstate(over="ignore", invalid="ignore"):
+        quad_gen = (_TO_QUAD @ (1j * gen.matrix) @ _TO_LADDER).real
         gmat = _TO_LADDER @ expm(quad_gen * flat[:, None, None]) @ _TO_QUAD
         max_entry = np.max(np.abs(gmat), axis=(-2, -1), initial=0.0)
     over = ~(max_entry <= entry_cap)

@@ -8,6 +8,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 import warnings
 
@@ -17,7 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from caosim import (
     OCCUPATION_THRESHOLD,
-    ClassificationError,
+    CaosimError,
     PropagatorOverflowError,
     build_generator,
     cli,
@@ -368,6 +369,11 @@ def test_fixed_sweep_matches_per_cell_records(
          "--atol-g2", "nan"],
         ["oracle-compare", "--delta", "1", "--chi", "1", "--times", "0.1",
          "--atol-g2", "-1"],
+        # tol is a roundoff band: at 0.5 it put (-1, 1) of regime iii on delta=0
+        ["classify", "--delta", "-1", "--chi", "1", "--tol", "0.5"],
+        # an infinite intensity is named before the grid is built from it
+        ["sweep", "--delta", "1", "--chi", "1", "--alpha2-max", "inf",
+         "--alpha2-count", "2", "--phi-count", "2"],
     ],
 )
 def test_bad_values_are_usage_errors(argv):
@@ -435,10 +441,11 @@ def test_config_and_flags_print_the_same_bytes(tmp_path):
 
 
 def test_overflow_is_numerical_failure():
-    # chi**2 overflows while the regime is classified
-    code, text = run_cli(["classify", "--delta", "1e308", "--chi", "1e200"])
-    assert code == cli.EXIT_NUMERICAL
-    assert text == ""
+    # chi**2, or 4 chi^2, overflows while the regime is classified
+    for chi in ("1e200", "1e154"):
+        code, text = run_cli(["classify", "--delta", "1e308", "--chi", chi])
+        assert code == cli.EXIT_NUMERICAL
+        assert text == ""
 
 
 def test_threshold_finite_at_huge_intensity():
@@ -451,7 +458,7 @@ def test_threshold_finite_at_huge_intensity():
 
 def test_classification_failure_is_numerical_failure(monkeypatch):
     def fail(*args, **kwargs):
-        raise ClassificationError("spectrum matches no regime pattern")
+        raise CaosimError("classification failed")
 
     monkeypatch.setattr(cli, "classify_regime", fail)
     code, _ = run_cli(["classify", "--delta", "1", "--chi", "1"])
@@ -652,3 +659,46 @@ def test_evolve_blocks_match_per_time_records(
                 assert cell == ""
             else:
                 assert float(cell) == pytest.approx(want, rel=1e-12)
+
+
+# The fuzz gate of the error contract: every numeric flag of every subcommand
+# draws from the edges of the doubles. Each entry is the fixed part of the
+# argv, the flags that must be given and the flags that may be left out.
+FUZZ_VALUES = ["0", "-0", "1", "-1", "1e-308", "-1e-308", "1e10", "-1e10",
+               "1e154", "-1e154", "1e308", "-1e308", "nan", "inf", "-inf"]
+FUZZ_COMMANDS = {
+    "classify": (["classify"], ["delta", "chi"], ["tol"]),
+    "threshold": (["threshold"], ["delta-c", "chi"], ["alpha2", "phi"]),
+    "evolve": (["evolve", "--steps", "3"], ["delta", "chi"],
+               ["alpha2", "phi", "t-start", "t-end"]),
+    "sweep-fixed": (["sweep", "--alpha2-count", "2", "--phi-count", "2"],
+                    ["delta", "chi"],
+                    ["alpha2-min", "alpha2-max", "phi-min", "phi-max", "t"]),
+    "sweep-longtime": (["sweep", "--time-policy", "longtime", "--alpha2-count", "2",
+                        "--phi-count", "2"], ["delta", "chi"],
+                       ["alpha2-min", "alpha2-max", "phi-min", "phi-max"]),
+    "oracle-compare": (["oracle-compare", "--times", "0.1", "--dim-cap", "1024"],
+                       ["delta", "chi"], ["alpha2", "phi"]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(FUZZ_COMMANDS))
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(data=st.data())
+def test_fuzz_error_contract(command, data):
+    fixed, required, optional = FUZZ_COMMANDS[command]
+    value = st.sampled_from(FUZZ_VALUES)
+    argv = list(fixed)
+    for flag in required:
+        argv.append(f"--{flag}={data.draw(value, label=flag)}")
+    for flag in optional:
+        drawn = data.draw(st.none() | value, label=flag)
+        if drawn is not None:
+            argv.append(f"--{flag}={drawn}")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, text = run_cli(argv)  # no exception may escape main
+    assert code in (cli.EXIT_OK, cli.EXIT_COMPARISON_FAILED, cli.EXIT_USAGE,
+                    cli.EXIT_NUMERICAL), argv
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], argv
+    assert not re.search(r"(?i)\b(nan|inf|infinity)\b", text), (argv, text)

@@ -8,7 +8,6 @@ from numpy.testing import assert_allclose
 from caosim import (
     CONJUGATION_PERM,
     SYMPLECTIC_FORM,
-    ClassificationError,
     InvalidParameterError,
     ModelParams,
     Regime,
@@ -16,6 +15,7 @@ from caosim import (
     build_generator,
     classify_regime,
     eigenfrequencies,
+    green_function,
 )
 
 
@@ -139,7 +139,6 @@ def test_threshold_detection(delta, chi, kind):
     report = classify_regime(build_generator(ModelParams(delta, chi)))
     assert report.regime == Regime.DEGENERATE_THRESHOLD_IV
     assert report.threshold_kind == kind
-    assert report.degenerate_pairs
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
@@ -157,6 +156,33 @@ def test_classification_total_near_threshold_surfaces(chi, surface, frac, tol):
     assume(abs(delta - delta_c) <= tol * max(1.0, abs(delta), 4.0 * chi**2))
     report = classify_regime(build_generator(ModelParams(delta, chi)), tol)
     assert report.regime == Regime.DEGENERATE_THRESHOLD_IV
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(
+    delta=st.floats(-10.0, -1e-3),
+    frac=st.floats(-1.0, 1.0),
+    tol=st.sampled_from([1e-12, 1e-9, 1e-6]),
+)
+def test_classification_total_near_negative_delta_surface(delta, frac, tol):
+    # chi on (1 - delta^2)^2 = 16 chi^2 |delta|, moved by a fraction of the
+    # band: every point in the band, the edges included, is regime iv
+    lhs = (1.0 - delta**2) ** 2
+    chi = math.sqrt(max(lhs + frac * tol * max(1.0, lhs), 0.0) / (16.0 * -delta))
+    rhs = 16.0 * chi**2 * abs(delta)
+    assume(abs(lhs - rhs) <= tol * max(1.0, lhs, rhs))
+    report = classify_regime(build_generator(ModelParams(delta, chi)), tol)
+    assert report.regime == Regime.DEGENERATE_THRESHOLD_IV
+
+
+@pytest.mark.parametrize("k", range(2, 13))
+def test_regime_ii_rate_at_large_delta_equal_chi_squared(k):
+    # delta = chi^2 = 10^k: omega ~ 10^k, while G(t) grows at gamma ~ sqrt(3)
+    gen = build_generator(ModelParams(10.0**k, math.sqrt(10.0**k)))
+    report = classify_regime(gen)
+    assert report.regime == Regime.SINGLE_EXPONENTIAL_II
+    g10, g20 = (np.max(np.abs(green_function(gen, t).gmat)) for t in (10.0, 20.0))
+    assert report.gamma == pytest.approx(math.log(g20 / g10) / 10.0, rel=1e-6)
 
 
 def test_decoupled_stable_spectrum():
@@ -206,7 +232,8 @@ def test_chi_zero_spectrum_exact():
 
 def test_tol_must_be_positive():
     gen = build_generator(ModelParams(1.0, 1.0))
-    # at tol >= 1 the threshold test would hold for every delta
-    for tol in (0.0, math.nan, math.inf, 1.0, 2.0):
+    # tol is a roundoff band: at tol >= 1 the threshold test would hold for
+    # every delta, and at tol = 0.5 it puts (-1, 1) of regime iii on delta=0
+    for tol in (0.0, math.nan, math.inf, 1.0, 2.0, 0.5, 1e-3):
         with pytest.raises(InvalidParameterError):
             classify_regime(gen, tol=tol)

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from caosim import (
@@ -14,8 +14,10 @@ from caosim import (
     NonConvergenceError,
     OpticalInit,
     OscillationSummary,
+    ThresholdKind,
     UndefinedCorrelationError,
     build_generator,
+    classify_regime,
     coherent_states,
     correlation_record,
     evolve,
@@ -126,6 +128,27 @@ def test_threshold_formula_rejects_off_surface():
         threshold_g2(ModelParams(0.5, 1.0), OpticalInit(0.0, 0.0), 0.0)
     with pytest.raises(InvalidParameterError):
         threshold_g2(ModelParams(0.0, 0.0), OpticalInit(0.0, 0.0), 0.0)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(
+    chi=st.floats(1e-3, 10.0),
+    surface=st.sampled_from(["delta=0", "delta=4*chi^2"]),
+    frac=st.floats(-3.0, 3.0),
+)
+# classify_regime puts (2e-9, 1) on delta=0
+@example(chi=1.0, surface="delta=0", frac=0.5)
+def test_threshold_formula_defined_exactly_on_classified_surfaces(chi, surface, frac):
+    # points inside and outside the band of the default tol=1e-9
+    delta_c = 0.0 if surface == "delta=0" else 4.0 * chi**2
+    params = ModelParams(delta_c + frac * 1e-9 * max(1.0, 4.0 * chi**2), chi)
+    init = OpticalInit(1.0, 0.3)
+    kind = classify_regime(build_generator(params)).threshold_kind
+    if kind in (ThresholdKind.DELTA_ZERO, ThresholdKind.DELTA_FOUR_CHI_SQ):
+        assert 1.0 <= threshold_g2(params, init, params.delta) <= 3.0
+    else:
+        with pytest.raises(InvalidParameterError):
+            threshold_g2(params, init, params.delta)
 
 
 def test_threshold_formula_range_random():
