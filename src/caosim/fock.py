@@ -3,21 +3,27 @@
 The quadratic atom-photon Hamiltonian (including the counter-rotating
 pair-creation terms, with no rotating-wave simplification) is built as a
 sparse real-symmetric matrix on the product basis |n_atom> x |n_phot>, and
-its action exp(-i H dt) on the state is applied step by step through the
+its action exp(-i H dt) on the state is applied in short substeps through the
 sorted evolution times (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488
 (2011), as implemented by scipy's ``expm_multiply``).
 
-Truncation is policed, not assumed: a state is trusted only while the
-population in the top two levels of either mode stays below ``tail_tol``.
-Unstable regimes grow excitation numbers exponentially in time, so the
-driver doubles the violating dimension until the tails pass or the product
-dimension cap is hit.
+Truncation is policed, not assumed, and the box grows with the state in one
+pass. After every substep the population in the top two levels of each mode
+is audited against a guard 100x below ``tail_tol``. A substep that passes is
+kept. One that does not is discarded: the state before it is zero-padded on
+the violating side, by about a quarter (a multiple of 8 levels), the
+Hamiltonian is rebuilt, and the substep is planned again from the same time.
+Unstable regimes grow excitation numbers exponentially in time, so early
+times run in small boxes and nothing is evolved twice. The box stops growing
+at the product dimension cap.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 from scipy import sparse
@@ -37,11 +43,16 @@ from .observables import OCCUPATION_THRESHOLD, CorrelationRecord
 # deterministic.
 _STEP_NORM = 62.0
 
-# Most ``expm_multiply`` steps of one ``evolve_fock`` call, about 100x the most
-# that one call takes over the test suite and the benchmark's oracle cases
-# (seeds 1-10): 53. A coupling such as chi=1e10 would need about 1e9 steps
-# in the first 16x16 box, and would not finish.
+# Most ``expm_multiply`` substeps of one ``evolve_fock`` call, discarded ones
+# included: about 100x the most that one call takes over the test suite and
+# the benchmark's oracle cases (seeds 1-10): 47. A coupling such as chi=1e10
+# would need about 1e9 substeps in the first 16x16 box, and would not finish.
 _MAX_STEPS = 5000
+
+# A substep is kept while the top two levels of each mode hold at most this
+# share of ``tail_tol``. The slack keeps what leaks past the box within one
+# substep far below the tolerance that the result is audited at.
+_GUARD = 1e-2
 
 
 @dataclass(frozen=True)
@@ -78,27 +89,41 @@ class FockState:
 
 
 def coherent_fock(amp: float, phase: float, cfg: FockConfig) -> FockState:
-    """Atomic vacuum tensor truncated coherent state alpha = amp e^{-i phase}."""
+    """Atomic vacuum tensor truncated coherent state alpha = amp e^{-i phase}.
+
+    Raises :class:`TruncationError` when the photon side of ``cfg`` cannot
+    hold the state: more than ``tail_tol`` lies past it, or ``|alpha|^2``
+    exceeds a quarter of it.
+    """
     intensity = amp**2
     if intensity > cfg.nmax_phot / 4.0:
         raise TruncationError(
             f"|alpha|^2={intensity} too large for nmax_phot={cfg.nmax_phot} "
             "(needs |alpha|^2 <= nmax_phot/4)"
         )
-    alpha = amp * np.exp(-1j * phase)
+    psi = _coherent(amp, phase, cfg)
+    if psi.tail_mass > cfg.tail_tol:
+        raise TruncationError(
+            f"coherent tail mass {psi.tail_mass:.3e} exceeds tail_tol {cfg.tail_tol:.1e}",
+            tail_mass=psi.tail_mass,
+        )
+    return psi
+
+
+def _coherent(amp: float, phase: float, cfg: FockConfig) -> FockState:
+    """The coherent state cut to the box of ``cfg`` and renormalized, in any box.
+
+    ``tail_mass`` is the population cut off. A box far too small for the state
+    gives its top photon levels, which the growth audit then rejects.
+    """
     n = np.arange(cfg.nmax_phot)
     # log-space Poisson amplitudes avoid factorial overflow at large cutoffs
-    log_mag = -intensity / 2.0 + n * np.log(np.abs(alpha)) - 0.5 * np.array(
+    log_mag = n * math.log(amp) - 0.5 * np.array(
         [math.lgamma(k + 1.0) for k in n]
     ) if amp > 0 else np.where(n == 0, 0.0, -np.inf)
-    phases = np.exp(-1j * phase * n)
-    coh = np.exp(log_mag) * phases
-    tail = float(1.0 - np.sum(np.abs(coh) ** 2))
-    if tail > cfg.tail_tol:
-        raise TruncationError(
-            f"coherent tail mass {tail:.3e} exceeds tail_tol {cfg.tail_tol:.1e}",
-            tail_mass=tail,
-        )
+    tail = float(1.0 - np.sum(np.exp(2.0 * log_mag - amp**2)))
+    # scaled by the largest amplitude, which stays finite however large |alpha|
+    coh = np.exp(log_mag - log_mag.max()) * np.exp(-1j * phase * n)
     amplitudes = np.zeros((cfg.nmax_atom, cfg.nmax_phot), dtype=complex)
     amplitudes[0, :] = coh / np.linalg.norm(coh)
     return FockState(amplitudes=amplitudes, tail_mass=max(tail, 0.0))
@@ -163,46 +188,146 @@ def sparse_hamiltonian(params: ModelParams, cfg: FockConfig) -> sparse.csc_matri
 
 def _tails(amplitudes: np.ndarray) -> tuple[float, float]:
     """Population in the top two atomic and the top two photonic levels."""
-    pops = np.abs(amplitudes) ** 2
-    return float(pops[-2:, :].sum()), float(pops[:, -2:].sum())
+    return (float(np.sum(np.abs(amplitudes[-2:, :]) ** 2)),
+            float(np.sum(np.abs(amplitudes[:, -2:]) ** 2)))
 
 
-def evolve_fock(
-    params: ModelParams, psi0: FockState, times: list[float], cfg: FockConfig
-) -> list[FockState]:
-    """psi(t) = exp(-i H t) psi(0) at every time in ``sorted(times)``.
+def _grow(amplitudes: np.ndarray, box: FockConfig) -> FockConfig | None:
+    """The larger box that a state needs, or None when ``box`` holds it.
 
-    Exact within the truncation of ``cfg``. A returned state is flagged
-    untrusted when the top two levels of either mode carry more than
-    ``cfg.tail_tol``. Times that need more than ``_MAX_STEPS`` Krylov steps
-    in all, or a Hamiltonian 1-norm or step count past the range of doubles,
-    raise :class:`TruncationError` before any step is taken.
+    A side needs more levels when its top two hold more than the guard. At the
+    dimension cap the box keeps its size while the tails stay within
+    ``tail_tol``, and :class:`TruncationError` is raised once they do not.
     """
-    if abs(psi0.norm - 1.0) > 1e-10:
-        raise InvalidParameterError(f"psi0 not normalized: |psi|={psi0.norm}")
+    atom, phot = _tails(amplitudes)
+    guard = _GUARD * box.tail_tol
+    if max(atom, phot) <= guard:
+        return None
+    # about a quarter more levels on each violating side, a multiple of 8
+    nmax_atom, nmax_phot = (n + 8 * max(1, n // 32) if tail > guard else n
+                            for n, tail in ((box.nmax_atom, atom), (box.nmax_phot, phot)))
+    grown = replace(box, nmax_atom=nmax_atom, nmax_phot=nmax_phot)
+    if grown.dim <= box.dim_cap:
+        return grown
+    if max(atom, phot) <= box.tail_tol:
+        return None
+    raise TruncationError(
+        f"adaptive truncation needs {grown.nmax_atom}x{grown.nmax_phot} "
+        f"> dimension cap {box.dim_cap}",
+        tail_mass=max(atom, phot),
+    )
+
+
+def _padded(amplitudes: np.ndarray, box: FockConfig) -> np.ndarray:
+    """``amplitudes`` in the box of ``box``, zero on the added levels."""
+    out = np.zeros((box.nmax_atom, box.nmax_phot), dtype=complex)
+    out[: amplitudes.shape[0], : amplitudes.shape[1]] = amplitudes
+    return out
+
+
+def _seeded(seed: Callable[[FockConfig], FockState], box: FockConfig) -> np.ndarray:
+    """The amplitudes of ``seed`` in ``box``, checked normalized."""
+    psi = seed(box)
+    if abs(psi.norm - 1.0) > 1e-10:
+        raise InvalidParameterError(f"psi0 not normalized: |psi|={psi.norm}")
+    return psi.amplitudes
+
+
+def _substeps(dts: np.ndarray, onenorm: float) -> np.ndarray:
+    """Substeps per interval in ``dts``, each of 1-norm at most ``_STEP_NORM``."""
+    with np.errstate(over="ignore"):  # a count past the doubles is named instead
+        return np.maximum(1.0, np.ceil(np.abs(dts) * onenorm / _STEP_NORM))
+
+
+def _generator(params: ModelParams, box: FockConfig, used: int,
+               dts: list[float]) -> tuple[sparse.csc_matrix, float]:
+    """-i H in ``box`` and the 1-norm that plans its substeps.
+
+    Raises :class:`TruncationError` when ``used`` substeps and those of the
+    intervals ``dts`` still ahead come to more than ``_MAX_STEPS``, or when
+    the 1-norm or the count is past the range of doubles.
+    """
     with np.errstate(over="ignore", invalid="ignore"):  # named below instead
-        h = sparse_hamiltonian(params, cfg)
+        h = sparse_hamiltonian(params, box)
         n = h.shape[0]
         shifted = h - (h.diagonal().sum() / n) * sparse.eye(n, format="csc")
         onenorm = float(abs(shifted).sum(axis=0).max())
-        dts = np.diff(sorted(times), prepend=0.0)
-        steps = np.maximum(1.0, np.ceil(abs(dts) * onenorm / _STEP_NORM))
-    for what, value in (("Hamiltonian 1-norm", onenorm),
-                        ("Krylov step count", steps.sum())):
-        if not math.isfinite(value):
-            raise TruncationError(f"{what} is past the range of doubles")
-    if steps.sum() > _MAX_STEPS:
+    if not math.isfinite(onenorm):
+        raise TruncationError("Hamiltonian 1-norm is past the range of doubles")
+    steps = used + _substeps(np.array(dts), onenorm).sum()
+    if not math.isfinite(steps):
+        raise TruncationError("Krylov step count is past the range of doubles")
+    if steps > _MAX_STEPS:
         raise TruncationError(
-            f"evolution needs {steps.sum():.3e} Krylov steps > {_MAX_STEPS} "
+            f"evolution needs {steps:.3e} Krylov steps > {_MAX_STEPS} "
             f"(Hamiltonian 1-norm {onenorm:.3e})"
         )
-    h = (-1j) * h
-    flat = psi0.amplitudes.reshape(-1)
+    return (-1j) * h, onenorm
+
+
+def evolve_fock(
+    params: ModelParams,
+    psi0: FockState | Callable[[FockConfig], FockState],
+    times: list[float],
+    cfg: FockConfig,
+) -> list[FockState]:
+    """psi(t) = exp(-i H t) psi(0) at every time in ``sorted(times)``, in a growing box.
+
+    The box starts as that of ``cfg`` and grows as the module docstring says;
+    each state is returned in the box it was reached in. ``psi0`` is the state
+    at t=0 in that box, or a function that builds it in any box: until the
+    first substep is kept, a growth builds the seed again in the larger box
+    rather than padding it, so its own truncation does not carry over.
+
+    Raises :class:`TruncationError` when the starting box passes
+    ``cfg.dim_cap``, when the state needs a box past it while a tail passes
+    ``tail_tol``, when the evolution needs more than ``_MAX_STEPS`` substeps
+    in all, or when a Hamiltonian 1-norm or step count is past the range of
+    doubles. Substeps are planned from the current box, and the 1-norm only
+    grows with the box, so the budget can refuse before any step is taken.
+    """
+    if callable(psi0):
+        seed = psi0
+    elif psi0.amplitudes.shape != (cfg.nmax_atom, cfg.nmax_phot):
+        raise InvalidParameterError(
+            f"psi0 has shape {psi0.amplitudes.shape}, cfg a "
+            f"{cfg.nmax_atom}x{cfg.nmax_phot} box"
+        )
+    else:
+        def seed(box):
+            return replace(psi0, amplitudes=_padded(psi0.amplitudes, box))
+    if cfg.dim > cfg.dim_cap:
+        raise TruncationError(
+            f"starting truncation {cfg.nmax_atom}x{cfg.nmax_phot} "
+            f"> dimension cap {cfg.dim_cap}"
+        )
+    times = sorted(times)
+    box = cfg
+    amplitudes = _seeded(seed, box)
+    while (grown := _grow(amplitudes, box)) is not None:
+        box, amplitudes = grown, _seeded(seed, grown)
+    fresh = True  # no substep kept yet: a growth builds the seed again
+    used, start = 0, 0.0
+    h, onenorm = _generator(params, box, used, np.diff(times, prepend=0.0))
     states = []
-    for dt, count in zip(dts.tolist(), steps.astype(int).tolist()):
-        for _ in range(count):
-            flat = expm_multiply(h * (dt / count), flat)
-        amplitudes = flat.reshape(psi0.amplitudes.shape)
+    for i, target in enumerate(times):
+        done, count = 0, int(_substeps(target - start, onenorm))
+        while done < count:
+            dt = (target - start) / count
+            stepped = expm_multiply(h * dt, amplitudes.reshape(-1)).reshape(amplitudes.shape)
+            used += 1
+            grown = _grow(stepped, box)
+            if grown is None:
+                amplitudes, done, fresh = stepped, done + 1, False
+                continue
+            # discard the substep and plan the rest of the interval again
+            start, done = start + done * dt, 0
+            box, amplitudes = grown, (_seeded(seed, grown) if fresh
+                                      else _padded(amplitudes, grown))
+            h, onenorm = _generator(params, box, used,
+                                    [target - start, *np.diff(times[i:])])
+            count = int(_substeps(target - start, onenorm))
+        start = target
         tail = max(_tails(amplitudes))
         states.append(
             FockState(
@@ -220,39 +345,18 @@ def oracle_records(
     times: list[float],
     cfg: FockConfig | None = None,
 ) -> tuple[list[CorrelationRecord], FockConfig]:
-    """Evolve to every requested time with adaptive truncation.
+    """Records at every requested time from one evolution in a growing box.
 
-    Starts from ``cfg`` (``FockConfig()`` by default) and doubles the
-    dimension whose tail violates ``tail_tol`` (photon side for an
-    inadequate initial coherent state, either side after evolution at any
-    time), until all tails pass. Raises :class:`TruncationError` when a
-    truncation exceeds the product dimension cap. Returns the records and
-    the truncation that was finally used.
+    The coherent seed starts in the box of ``cfg`` (``FockConfig()`` by
+    default) and grows until its top levels pass the guard; the evolution then
+    grows the box as :func:`evolve_fock` says. Raises :class:`TruncationError`
+    when the state needs a box past the product dimension cap, or more Krylov
+    substeps than the budget. Returns the records and the final box, whose
+    sides need not be powers of two.
     """
     cfg = cfg or FockConfig()
     times = sorted(times)
-    while True:
-        if cfg.dim > cfg.dim_cap:
-            raise TruncationError(
-                f"adaptive truncation needs {cfg.nmax_atom}x{cfg.nmax_phot} "
-                f"> dimension cap {cfg.dim_cap}"
-            )
-        try:
-            psi0 = coherent_fock(init.amp, init.phase, cfg)
-        except TruncationError:
-            bad_atom, bad_phot = False, True
-        else:
-            states = evolve_fock(params, psi0, times, cfg)
-            tails = [_tails(s.amplitudes) for s in states if not s.trusted]
-            bad_atom = any(atom > cfg.tail_tol for atom, _ in tails)
-            bad_phot = any(phot > cfg.tail_tol for _, phot in tails)
-            if not (bad_atom or bad_phot):
-                records = [
-                    oracle_observables(s, t) for s, t in zip(states, times)
-                ]
-                return records, cfg
-        cfg = replace(
-            cfg,
-            nmax_atom=cfg.nmax_atom * 2 if bad_atom else cfg.nmax_atom,
-            nmax_phot=cfg.nmax_phot * 2 if bad_phot else cfg.nmax_phot,
-        )
+    states = evolve_fock(params, partial(_coherent, init.amp, init.phase), times, cfg)
+    records = [oracle_observables(s, t) for s, t in zip(states, times)]
+    shape = states[-1].amplitudes.shape if states else (cfg.nmax_atom, cfg.nmax_phot)
+    return records, replace(cfg, nmax_atom=shape[0], nmax_phot=shape[1])

@@ -120,11 +120,15 @@ def eigenfrequencies(gen: DriftGenerator) -> np.ndarray:
 
 
 def _critical_condition(d, chi, tol: float) -> ThresholdKind | None:
-    """The threshold surface that (d, chi) lies on within the band ``tol``, or None."""
-    pscale = max(1.0, abs(d), 4.0 * chi**2)
-    if abs(d) <= tol * pscale:
+    """The threshold surface that (d, chi) lies on within the band ``tol``, or None.
+
+    Each band scales with the quantities it compares. On delta = 0 that is
+    delta alone, and its scale max(1, |delta|) is 1 inside the band: a large
+    coupling does not widen it.
+    """
+    if abs(d) <= tol:
         return ThresholdKind.DELTA_ZERO
-    if abs(d - 4.0 * chi**2) <= tol * pscale:
+    if abs(d - 4.0 * chi**2) <= tol * max(1.0, abs(d), 4.0 * chi**2):
         return ThresholdKind.DELTA_FOUR_CHI_SQ
     if d < 0.0:
         lhs = (1.0 - d**2) ** 2

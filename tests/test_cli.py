@@ -382,6 +382,16 @@ def test_bad_values_are_usage_errors(argv):
     assert text == ""
 
 
+def test_strong_coupling_does_not_widen_the_delta_zero_band():
+    # the delta=0 band is |delta| <= tol, whatever chi: delta=1 at chi=2e4 is
+    # regime ii, and no threshold value exists for delta_c=1 there
+    code, text = run_cli(["classify", "--delta", "1", "--chi", "2e4"])
+    assert code == cli.EXIT_OK
+    assert text.splitlines()[0] == "regime: ii"
+    code, text = run_cli(["threshold", "--delta-c", "1", "--chi", "2e4", "--alpha2", "1"])
+    assert (code, text) == (cli.EXIT_USAGE, "")
+
+
 @pytest.mark.parametrize(
     "command, line",
     [
@@ -466,9 +476,10 @@ def test_classification_failure_is_numerical_failure(monkeypatch):
 
 
 def test_classify_near_delta_zero_is_threshold():
+    # inside the delta=0 band |delta| <= 1e-9, with an eigenvalue split
+    # (7.6e-5) wider than sqrt(tol) times the spectrum
     code, text = run_cli(
-        ["classify", "--delta=-1.2479530186683278e-09",
-         "--chi", "1.2137432172653515"]
+        ["classify", "--delta=-9.9e-10", "--chi", "1.2137432172653515"]
     )
     assert code == cli.EXIT_OK
     assert text.startswith("regime: iv (threshold delta=0)")
@@ -695,10 +706,44 @@ def test_fuzz_error_contract(command, data):
         drawn = data.draw(st.none() | value, label=flag)
         if drawn is not None:
             argv.append(f"--{flag}={drawn}")
+    assert_error_contract(argv)
+
+
+def assert_error_contract(argv, context=None):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, text = run_cli(argv)  # no exception may escape main
     assert code in (cli.EXIT_OK, cli.EXIT_COMPARISON_FAILED, cli.EXIT_USAGE,
-                    cli.EXIT_NUMERICAL), argv
-    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], argv
-    assert not re.search(r"(?i)\b(nan|inf|infinity)\b", text), (argv, text)
+                    cli.EXIT_NUMERICAL), (argv, context)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], (argv, context)
+    assert not re.search(r"(?i)\b(nan|inf|infinity)\b", text), (argv, context, text)
+    return code
+
+
+# The same gate through --config files: the values above and values of the
+# wrong type, keys of every subcommand (and keys of none), and lines that are
+# not UTF-8. The argv keeps the fixed flags, which take precedence over the file.
+CONFIG_VALUES = FUZZ_VALUES + ["", "abc", "1.5", "1e3", "0x10", "fixed", "0.1,0.2",
+                               "1_0", "\u0661", "a=b"]
+CONFIG_KEYS = sorted({opt.name for _, _, opts in cli.COMMANDS.values() for opt in opts}
+                     | {"detla", "json", "config"})
+NOT_UTF8 = [b"phi = \xff\xfe\n", b"# caf\xe9\n", b"delta = 1\xc0\n"]
+
+
+@pytest.mark.parametrize("command", sorted(FUZZ_COMMANDS))
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(data=st.data())
+def test_fuzz_error_contract_through_config_files(command, data, tmp_path_factory):
+    fixed, required, optional = FUZZ_COMMANDS[command]
+    value = st.sampled_from(CONFIG_VALUES)
+    keys = [key.replace("-", "_") for key in required]
+    keys += [key.replace("-", "_") for key in optional if data.draw(st.booleans())]
+    keys += data.draw(st.lists(st.sampled_from(CONFIG_KEYS), max_size=3), label="extra")
+    lines = [f"{key} = {data.draw(value, label=key)}\n".encode() for key in keys]
+    if data.draw(st.booleans(), label="not utf-8"):
+        lines.insert(data.draw(st.integers(0, len(lines))), data.draw(st.sampled_from(NOT_UTF8)))
+    path = tmp_path_factory.getbasetemp() / f"fuzz-{command}.cfg"
+    path.write_bytes(b"".join(lines))
+    code = assert_error_contract([*fixed, "--config", str(path)], lines)
+    if any(line in NOT_UTF8 for line in lines):
+        assert code == cli.EXIT_USAGE, lines

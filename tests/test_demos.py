@@ -2,7 +2,7 @@
 
 Each demo runs in-process with ``runpy``, under the suite's filter that
 turns every ``RuntimeWarning`` into an error. ``demos/oracle_check.py`` is
-left out: its Fock oracle takes about 20 s on a 2-core machine, and the
+left out: its Fock oracle takes about 5 s on a 2-core machine, and the
 oracle itself is covered by ``test_fock.py`` and acceptance criterion 5.
 """
 

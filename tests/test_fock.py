@@ -22,7 +22,9 @@ from caosim import (
     oracle_observables,
     oracle_records,
 )
+from caosim import fock
 from caosim.fock import sparse_hamiltonian
+from caosim.observables import evaluate
 
 
 def dense_hamiltonian(params, cfg):
@@ -121,9 +123,11 @@ def test_diagonal_hamiltonian_preserves_populations():
     params = ModelParams(0.8, 0.0)
     psi0 = coherent_fock(1.5, 0.0, cfg)
     for psi in evolve_fock(params, psi0, [0.5, 3.0], cfg):
-        assert_allclose(
-            np.abs(psi.amplitudes) ** 2, np.abs(psi0.amplitudes) ** 2, atol=1e-12
-        )
+        # the two atomic levels are both top levels, so the atom side grows:
+        # compare in the grown box, where the added levels stay empty
+        pops0 = np.zeros(psi.amplitudes.shape)
+        pops0[:2] = np.abs(psi0.amplitudes) ** 2
+        assert_allclose(np.abs(psi.amplitudes) ** 2, pops0, atol=1e-12)
 
 
 def test_norm_and_energy_conservation():
@@ -135,6 +139,8 @@ def test_norm_and_energy_conservation():
     e0 = float(np.real(flat0.conj() @ (h @ flat0)))
     for psi in evolve_fock(params, psi0, [0.3, 1.0, 2.5], cfg):
         assert abs(psi.norm - 1.0) < 1e-12
+        # the energy in the box the state grew to; H there extends H in cfg's
+        h = sparse_hamiltonian(params, FockConfig(*psi.amplitudes.shape))
         flat = psi.amplitudes.reshape(-1)
         e = float(np.real(flat.conj() @ (h @ flat)))
         assert abs(e - e0) / max(abs(e0), 1.0) < 1e-10
@@ -213,6 +219,50 @@ def test_truncation_monotonicity():
     rec_large, _ = oracle_records(params, init, [1.0], large)
     assert abs(rec_small[0].n3 - rec_large[0].n3) / rec_large[0].n3 < 1e-6
     assert abs(rec_small[0].g33 - rec_large[0].g33) < 1e-4
+
+
+# Regime i with a coherent seed that the default 16-level photon side cuts at
+# a 2.5e-7 top-level population: the seed is built again in a larger box, and
+# the evolution grows the box twice more after its first kept substep.
+GROWN_PARAMS = ModelParams(-2.0, 0.2)
+GROWN_INIT = OpticalInit(math.sqrt(2.4), 0.7)
+GROWN_TIMES = [1.0, 2.0, 3.0]
+
+
+def test_grown_run_is_one_evolution_matching_dense_in_its_final_box(monkeypatch):
+    boxes, starts = [], []
+    build, step = fock.sparse_hamiltonian, fock.expm_multiply
+
+    def spy_build(params, cfg):
+        boxes.append((cfg.nmax_atom, cfg.nmax_phot))
+        return build(params, cfg)
+
+    def spy_step(a, v):
+        # the seed is the atomic vacuum; any kept substep excites the atom
+        starts.append(not np.any(v.reshape(boxes[-1])[1:]))
+        return step(a, v)
+
+    monkeypatch.setattr(fock, "sparse_hamiltonian", spy_build)
+    monkeypatch.setattr(fock, "expm_multiply", spy_step)
+    records, used = oracle_records(GROWN_PARAMS, GROWN_INIT, GROWN_TIMES)
+    assert sum(starts) == 1  # nothing is evolved twice from t=0
+    assert len(boxes) >= 3 and boxes[-1] == (used.nmax_atom, used.nmax_phot)
+    psi0 = coherent_fock(GROWN_INIT.amp, GROWN_INIT.phase, used)
+    for rec in records:
+        dense = oracle_observables(dense_evolution(GROWN_PARAMS, psi0, rec.t, used))
+        for name in ("n1", "n3"):
+            assert_allclose(getattr(rec, name), getattr(dense, name), rtol=1e-10)
+
+
+def test_grown_run_matches_the_gaussian_occupations():
+    # a seed padded from its 16-level cut instead would be off by about 1e-7
+    records, _ = oracle_records(GROWN_PARAMS, GROWN_INIT, GROWN_TIMES)
+    gauss, stop = evaluate(build_generator(GROWN_PARAMS), initial_state(GROWN_INIT),
+                           GROWN_TIMES)
+    assert stop == len(GROWN_TIMES)
+    for rec, n1, n3 in zip(records, gauss.n1, gauss.n3):
+        assert_allclose(rec.n1, n1, rtol=1e-9)
+        assert_allclose(rec.n3, n3, rtol=1e-9)
 
 
 def test_adaptive_growth_hits_cap():

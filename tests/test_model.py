@@ -104,6 +104,8 @@ def test_eigenfrequencies_match_characteristic_polynomial_oracle():
         (2.0, 0.0, Regime.STABLE_I),
         (1.0, 0.2, Regime.STABLE_I),
         (5.0, 1.0, Regime.STABLE_I),
+        # |delta| just past the delta=0 band of tol=1e-9: both w^2 are positive
+        (-1.2479530186683278e-09, 1.2137432172653515, Regime.STABLE_I),
     ],
 )
 def test_regime_labels(delta, chi, regime):
@@ -129,8 +131,8 @@ def test_regime_iii_rates():
     "delta,chi,kind",
     [
         (0.0, 1.0, ThresholdKind.DELTA_ZERO),
-        # eigenvalue split 8.6e-5, wider than sqrt(tol) times the spectrum
-        (-1.2479530186683278e-09, 1.2137432172653515, ThresholdKind.DELTA_ZERO),
+        # eigenvalue split 7.6e-5, wider than sqrt(tol) times the spectrum
+        (-9.9e-10, 1.2137432172653515, ThresholdKind.DELTA_ZERO),
         (4.0, 1.0, ThresholdKind.DELTA_FOUR_CHI_SQ),
         (-3.0, 2.0 / math.sqrt(3.0), ThresholdKind.NEGATIVE_DELTA_SURFACE),
     ],
@@ -149,13 +151,34 @@ def test_threshold_detection(delta, chi, kind):
     tol=st.sampled_from([1e-12, 1e-9, 1e-6]),
 )
 def test_classification_total_near_threshold_surfaces(chi, surface, frac, tol):
-    # every delta with |delta - delta_c| <= tol * max(1, |delta|, 4 chi^2),
-    # the edges included, is the threshold regime iv
-    delta_c = 0.0 if surface == "delta=0" else 4.0 * chi**2
-    delta = delta_c + frac * tol * max(1.0, 4.0 * chi**2)
-    assume(abs(delta - delta_c) <= tol * max(1.0, abs(delta), 4.0 * chi**2))
+    # every delta in the band of its surface, the edges included, is the
+    # threshold regime iv: |delta| <= tol * max(1, |delta|) on delta=0, and
+    # |delta - 4 chi^2| <= tol * max(1, |delta|, 4 chi^2) on delta=4 chi^2
+    if surface == "delta=0":
+        delta_c, scale = 0.0, 1.0
+    else:
+        delta_c, scale = 4.0 * chi**2, max(1.0, 4.0 * chi**2)
+    delta = delta_c + frac * tol * scale
+    assume(abs(delta - delta_c) <= tol * max(scale, abs(delta)))
     report = classify_regime(build_generator(ModelParams(delta, chi)), tol)
     assert report.regime == Regime.DEGENERATE_THRESHOLD_IV
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(
+    chi=st.floats(1.0, 1e6),
+    frac=st.floats(1.5, 1e3),
+    sign=st.sampled_from([-1.0, 1.0]),
+    tol=st.sampled_from([1e-12, 1e-9, 1e-6]),
+)
+def test_delta_zero_band_does_not_grow_with_coupling(chi, frac, sign, tol):
+    # outside |delta| <= tol a strong coupling leaves the point off the
+    # delta=0 surface, and 0 < delta < 4 chi^2 is regime ii
+    delta = sign * frac * tol
+    report = classify_regime(build_generator(ModelParams(delta, chi)), tol)
+    assert report.threshold_kind is not ThresholdKind.DELTA_ZERO
+    if delta > 0:
+        assert report.regime == Regime.SINGLE_EXPONENTIAL_II
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
