@@ -51,13 +51,24 @@ from .observables import (
     records,
     threshold_g2,
 )
-from .fock import (
-    FockConfig,
-    FockState,
-    coherent_fock,
-    evolve_fock,
-    oracle_observables,
-    oracle_records,
-)
 
 __version__ = "0.1.0"
+
+# The Fock oracle's names load on first use (PEP 562): its sparse-matrix
+# library would otherwise be most of the package's import time.
+_FOCK_NAMES = frozenset({
+    "FockConfig",
+    "FockState",
+    "coherent_fock",
+    "evolve_fock",
+    "oracle_observables",
+    "oracle_records",
+})
+
+
+def __getattr__(name):
+    if name in _FOCK_NAMES:
+        from . import fock
+
+        return getattr(fock, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -27,9 +27,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CaosimError, InvalidParameterError, TruncationError
-from .fock import FockConfig, oracle_records
 # green_function, evolve and correlation_record are unused here but stay
-# importable: bench/tracer.py wraps them in cli by name.
+# importable: bench/tracer.py wraps them in cli by name. The Fock oracle is
+# not imported here: see ``__getattr__`` below.
 from .gaussian import OpticalInit, coherent_states, evolve, initial_state  # noqa: F401
 from .model import ModelParams, build_generator, classify_regime
 from .observables import (  # noqa: F401
@@ -40,6 +40,19 @@ from .observables import (  # noqa: F401
     threshold_g2,
 )
 from .propagator import green_function  # noqa: F401
+
+
+# ``oracle_records`` is a module attribute that imports the Fock oracle on
+# first use (PEP 562): its sparse-matrix library would otherwise be most of
+# every command's start-up. oracle-compare calls it through the module, so a
+# patched ``cli.oracle_records`` is the one called.
+def __getattr__(name):
+    if name == "oracle_records":
+        from .fock import oracle_records
+
+        return oracle_records
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 SCHEMA_VERSION = 1
 
@@ -379,6 +392,8 @@ def cmd_oracle_compare(args, out):
         comments.append(
             f"warning: t={late} beyond t=3 may exhaust the oracle truncation"
         )
+    from .fock import FockConfig
+
     params = ModelParams(args.delta, args.chi)
     init = OpticalInit(_amplitudes(args.alpha2), args.phi)
     cfg = None if args.dim_cap is None else FockConfig(dim_cap=args.dim_cap)
@@ -390,7 +405,7 @@ def cmd_oracle_compare(args, out):
     errors = None
     overflow = None
     try:
-        fock_recs, cfg = oracle_records(params, init, times, cfg)
+        fock_recs, cfg = sys.modules[__name__].oracle_records(params, init, times, cfg)
         comments.append(f"truncation: {cfg.nmax_atom}x{cfg.nmax_phot}")
     except TruncationError as exc:
         comments.append(f"truncation inadequate: {exc}")

@@ -9,6 +9,7 @@ import json
 import math
 import os
 import re
+import subprocess
 import sys
 import warnings
 
@@ -596,6 +597,41 @@ def test_oracle_compare_rows_stop_at_moment_overflow(monkeypatch):
     header, rows, comments = parse_csv(text)
     assert rows == []
     assert comments[-2:] == ["overflow at t=0.5", "status: OVERFLOW"]
+
+
+NO_SCIPY_AT_START = """
+import io, sys
+import caosim
+import caosim.cli
+
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not loaded, loaded
+assert "caosim.fock" not in sys.modules
+code = caosim.cli.main(["oracle-compare", "--delta", "1", "--chi", "1",
+                        "--alpha2", "0", "--times", "0.1"], out=io.StringIO())
+assert code == 0, code
+assert "caosim.fock" in sys.modules
+from caosim import fock
+assert caosim.FockConfig is fock.FockConfig
+assert caosim.oracle_records is fock.oracle_records
+assert caosim.cli.oracle_records is fock.oracle_records
+"""
+
+
+def test_start_up_loads_no_scipy():
+    # scipy is only the Fock oracle's: it loads with the first oracle-compare
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    subprocess.run([sys.executable, "-c", NO_SCIPY_AT_START], env=env, check=True,
+                   timeout=120)
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "caosim.cli", "--help"],
+                          env=env, capture_output=True, text=True, check=True,
+                          timeout=120)
+    imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "caosim.propagator" in imported
+    assert not [m for m in imported if m == "scipy" or m.startswith("scipy.")]
 
 
 def per_time_evolve(delta, chi, alpha2, phi, times):

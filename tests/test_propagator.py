@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
 from caosim import (
@@ -192,3 +193,37 @@ def test_verify_propagator_detects_corruption():
     bad = Propagator(t=p.t, gmat=corrupted, generator=gen)
     residuals = dict(verify_propagator(bad))
     assert 1e-4 < residuals["symplectic"] < 1e-2
+
+
+@pytest.mark.parametrize("ts", [[1.0, 2.0, 3.0], [0.5, 1.0, 2.0, 3.0]])
+def test_verify_propagator_stack_is_largest_over_times(ts):
+    gen = build_generator(ModelParams(1.0, 1.0))
+    stack = dict(verify_propagator(green_stack(gen, ts)))
+    single = [dict(verify_propagator(green_function(gen, t))) for t in ts]
+    assert stack == {name: max(r[name] for r in single) for name in stack}
+
+
+@pytest.mark.parametrize("delta,chi", [(1, 1), (-1, 1), (0, 1), (4, 1), (2, 0.2)])
+def test_green_stack_against_scipy_expm(delta, chi):
+    gen = build_generator(ModelParams(delta, chi))
+    ts = np.linspace(0.0, 60.0, 2001)
+    g = green_stack(gen, ts).gmat
+    ref = scipy.linalg.expm(1j * gen.matrix * ts[:, None, None])
+    scale = np.max(np.abs(ref), axis=(-2, -1))
+    assert np.all(np.max(np.abs(g - ref), axis=(-2, -1)) <= 1e-11 * scale)
+
+
+def test_lenient_mixed_stack_is_quiet_and_symplectic():
+    # regime ii with slow growth and a large generator: t=12 needs several
+    # squarings at a modest |G|; t=1000 is over the cap, t=1e300 overflows in
+    # the squarings and at t=1e307 the scaled generator's 1-norm is infinite
+    gen = build_generator(ModelParams(50.0, 3.6))
+    ts = np.array([0.0, 1e-9, 0.7, 12.0, 1000.0, 1e300, 1e307, 3.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p = green_stack(gen, ts, strict=False)
+    finite = np.isfinite(p.gmat).all(axis=(-2, -1))
+    assert finite.tolist() == [True] * 4 + [False] * 3 + [True]
+    assert np.isnan(p.gmat[~finite]).all()
+    ok = Propagator(t=ts[finite], gmat=p.gmat[finite], generator=gen)
+    assert dict(verify_propagator(ok))["symplectic"] < 1e-10
