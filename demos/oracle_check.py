@@ -8,10 +8,11 @@ function, Wick expansion, normalization). A brute-force check evolves
 the same state in a truncated number basis and reads the correlations
 off the wavefunction directly.
 
-The oracle grows its truncation with the state during one evolution:
-after every short Krylov substep it checks that the top two Fock levels
-of each mode hold a negligible population, and pads the box by about a
-quarter where they do not. So agreement below is a real consistency test,
+The oracle applies exp(-iH dt) to the state vector by the Chebyshev
+series of the exponential, in short substeps, and grows its truncation
+with the state during one evolution: after every substep it checks that
+the top two Fock levels of each mode hold a negligible population, and
+pads the box by about a quarter where they do not. So agreement below is a real consistency test,
 not two codes sharing one approximation. The printed truncation is the
 box the evolution ended in; its sides need not be powers of two.
 """

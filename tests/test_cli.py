@@ -246,7 +246,7 @@ def test_oracle_compare_pass():
 
 def test_oracle_compare_truncation_inadequate():
     # a dimension cap below the smallest usable truncation cannot converge,
-    # and chi=1e10 would need about 1e9 Krylov steps in the first 16x16 box
+    # and chi=1e10 would need about 1e9 substeps in the first 16x16 box
     for chi, times, cap in (("1", "2.0", "64"), ("1e10", "0.1", "1024")):
         code, text = run_cli(
             ["oracle-compare", "--delta", "1", "--chi", chi,
@@ -267,9 +267,8 @@ def test_oracle_compare_late_time_warning_comment():
 
 
 def test_oracle_compare_is_byte_reproducible():
-    # scipy estimates the norms of large Krylov steps from random vectors
-    # (seeds 1 and 4 once gave different last digits); the oracle's steps
-    # stay small enough to be exact, so the global seed cannot matter
+    # the oracle's Chebyshev steps draw no random numbers, so the global
+    # numpy seed cannot change a digit of the output
     argv = ["oracle-compare", "--delta", "-1", "--chi", "1", "--alpha2", "1",
             "--phi", "0.3", "--times", "0.5,1,1.5"]
     outputs = []

@@ -1,8 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.special
 from numpy.testing import assert_allclose
 
 from caosim import (
@@ -231,19 +235,19 @@ GROWN_TIMES = [1.0, 2.0, 3.0]
 
 def test_grown_run_is_one_evolution_matching_dense_in_its_final_box(monkeypatch):
     boxes, starts = [], []
-    build, step = fock.sparse_hamiltonian, fock.expm_multiply
+    build, step = fock.sparse_hamiltonian, fock.chebyshev_step
 
     def spy_build(params, cfg):
         boxes.append((cfg.nmax_atom, cfg.nmax_phot))
         return build(params, cfg)
 
-    def spy_step(a, v):
+    def spy_step(scaled, centre, radius, dt, v):
         # the seed is the atomic vacuum; any kept substep excites the atom
         starts.append(not np.any(v.reshape(boxes[-1])[1:]))
-        return step(a, v)
+        return step(scaled, centre, radius, dt, v)
 
     monkeypatch.setattr(fock, "sparse_hamiltonian", spy_build)
-    monkeypatch.setattr(fock, "expm_multiply", spy_step)
+    monkeypatch.setattr(fock, "chebyshev_step", spy_step)
     records, used = oracle_records(GROWN_PARAMS, GROWN_INIT, GROWN_TIMES)
     assert sum(starts) == 1  # nothing is evolved twice from t=0
     assert len(boxes) >= 3 and boxes[-1] == (used.nmax_atom, used.nmax_phot)
@@ -277,3 +281,53 @@ def test_config_validation():
         FockConfig(1, 8)
     with pytest.raises(InvalidParameterError):
         FockConfig(8, 8, tail_tol=1e-3)
+
+
+@pytest.mark.parametrize("delta,chi", [(1, 1), (-1, 1), (0, 1), (2, 0.3)])
+def test_chebyshev_step_matches_dense_expm(delta, chi):
+    params, box = ModelParams(delta, chi), FockConfig(24, 24)
+    scaled, centre, radius, onenorm = fock._generator(params, box, 0, [])
+    h = dense_hamiltonian(params, box)
+    rng = np.random.default_rng(7)
+    psi = rng.normal(size=box.dim) + 1j * rng.normal(size=box.dim)
+    psi /= np.linalg.norm(psi)
+    # no time, a sliver, and the longest substep that the planning takes
+    for dt in (0.0, 1e-6, fock._STEP_NORM / onenorm):
+        out = fock.chebyshev_step(scaled, centre, radius, dt, psi)
+        ref = scipy.linalg.expm(-1j * dt * h) @ psi
+        assert np.linalg.norm(out - ref) <= 1e-13
+        assert abs(np.linalg.norm(out) - 1.0) <= 1e-13
+    assert np.array_equal(fock.chebyshev_step(scaled, centre, radius, 0.0, psi), psi)
+
+
+@pytest.mark.parametrize("z", [0.0, 0.01, 1.0, 7.3, 30.0, 62.0])
+def test_bessel_coefficients_match_scipy(z):
+    j = fock._bessel_coefficients(z)
+    order = np.arange(j.size)
+    # scipy's own J_k(62) is off by up to 8.5e-16 from a 40-digit reference
+    assert_allclose(j, scipy.special.jv(order, z), rtol=0.0, atol=2e-15)
+    # the series stops at the first order past z below the cut, after two terms
+    assert j.size >= 2 and j.size > z
+    assert abs(scipy.special.jv(j.size, z)) < fock._BESSEL_CUT
+    assert np.all(np.abs(j[(order > z) & (order >= 2)]) >= fock._BESSEL_CUT)
+
+
+FOCK_LOADS = """
+import sys
+from caosim import ModelParams, OpticalInit
+import caosim.fock
+
+caosim.fock.oracle_records(ModelParams(-1.0, 1.0), OpticalInit(1.0, 0.3), [0.5, 1.0])
+loaded = [m for m in ("scipy.sparse.linalg", "scipy.special") if m in sys.modules]
+assert not loaded, loaded
+from scipy.sparse.linalg import expm_multiply
+assert caosim.fock.expm_multiply is expm_multiply
+"""
+
+
+def test_oracle_loads_neither_sparse_linalg_nor_special():
+    # the oracle needs only scipy.sparse; expm_multiply is still served by name
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fock.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    subprocess.run([sys.executable, "-c", FOCK_LOADS], env=env, check=True, timeout=120)

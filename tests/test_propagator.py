@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -201,6 +202,17 @@ def test_verify_propagator_stack_is_largest_over_times(ts):
     stack = dict(verify_propagator(green_stack(gen, ts)))
     single = [dict(verify_propagator(green_function(gen, t))) for t in ts]
     assert stack == {name: max(r[name] for r in single) for name in stack}
+
+
+def test_verify_propagator_lenient_stack_leaves_out_nan_slices():
+    # G(400) and its half G(200) are past the entry cap, so NaN in a lenient stack
+    residuals = dict(verify_propagator(
+        green_stack(build_generator(ModelParams(1, 1)), [1.0, 400.0], strict=False)))
+    gen = build_generator(ModelParams(1, 1))
+    assert residuals == dict(verify_propagator(green_stack(gen, [1.0])))
+    residuals = dict(verify_propagator(green_stack(gen, [400.0], strict=False)))
+    assert set(residuals) == {"symplectic", "conjugation", "composition"}
+    assert all(math.isnan(value) for value in residuals.values())
 
 
 @pytest.mark.parametrize("delta,chi", [(1, 1), (-1, 1), (0, 1), (4, 1), (2, 0.2)])
