@@ -1,10 +1,12 @@
 """Brute-force oracle: exact evolution in a truncated two-mode Fock basis.
 
 The quadratic atom-photon Hamiltonian (including the counter-rotating
-pair-creation terms, with no rotating-wave simplification) is built as a
-sparse real-symmetric matrix on the product basis |n_atom> x |n_phot>, and
-its action exp(-i H dt) on the state is applied in short substeps through the
-sorted evolution times. Each substep sums the Chebyshev series of the
+pair-creation terms, with no rotating-wave simplification) is a sparse
+real-symmetric matrix on the product basis |n_atom> x |n_phot>. It has five
+bands, the diagonal and the four neighbours (n_atom +- 1, n_phot +- 1), and is
+built from them by index arithmetic, with no operator products. Its action
+exp(-i H dt) on the state is applied in short substeps through the sorted
+evolution times. Each substep sums the Chebyshev series of the
 exponential (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)): with the
 spectrum of H inside the Gershgorin interval c +- r,
 
@@ -182,20 +184,55 @@ def oracle_observables(
 
 
 def sparse_hamiltonian(params: ModelParams, cfg: FockConfig) -> sparse.csc_matrix:
-    """Sparse matrix of c†c + delta a†a + chi (a†c† + a†c + c†a + c a)."""
-    na, nph = cfg.nmax_atom, cfg.nmax_phot
-    c = sparse.kron(
-        sparse.diags(np.sqrt(np.arange(1.0, na)), 1), sparse.eye(nph)
-    )
-    a = sparse.kron(
-        sparse.eye(na), sparse.diags(np.sqrt(np.arange(1.0, nph)), 1)
-    )
-    h = (
-        c.T @ c
-        + params.delta * (a.T @ a)
-        + params.chi * (a.T @ c.T + a.T @ c + c.T @ a + c @ a)
-    )
-    return h.tocsc()
+    """Sparse matrix of c†c + delta a†a + chi (a†c† + a†c + c†a + c a).
+
+    Built from its five bands (see :func:`_bands`). H is symmetric, so the
+    CSR arrays of its rows are also the CSC arrays of its columns.
+    """
+    return sparse.csc_matrix(_csr(_bands(params, cfg), cfg), shape=(cfg.dim, cfg.dim))
+
+
+def _bands(params: ModelParams, box: FockConfig) -> np.ndarray:
+    """The five bands of H on ``box``, shaped (dim, 5), row k = i*nmax_phot + j.
+
+    Row (i, j) holds its entries in ascending column order: those at
+    (i-1, j-1), (i-1, j+1), (i, j), (i+1, j-1) and (i+1, j+1), with 0 where
+    the neighbour lies outside the box. A neighbour's entry is
+    chi*(sqrt(max i)*sqrt(max j)) and the diagonal sqrt(i)*sqrt(i) +
+    delta*(sqrt(j)*sqrt(j)), rounded as the products of the ladder operators
+    round them.
+    """
+    na, nph = box.nmax_atom, box.nmax_phot
+    atom, phot = np.sqrt(np.arange(float(na))), np.sqrt(np.arange(float(nph)))
+    bands = np.zeros((na, nph, 5))
+    pair = params.chi * (atom[1:, None] * phot[None, 1:])  # at (max i, max j)
+    bands[1:, 1:, 0] = pair
+    bands[1:, :-1, 1] = pair
+    bands[:, :, 2] = atom[:, None] * atom[:, None] + params.delta * (phot * phot)
+    bands[:-1, 1:, 3] = pair
+    bands[:-1, :-1, 4] = pair
+    return bands.reshape(-1, 5)
+
+
+def _csr(bands: np.ndarray, box: FockConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CSR ``(data, indices, indptr)`` of the nonzero entries of bands on ``box``.
+
+    ``bands`` is laid out as :func:`_bands` says. Exact zeros are left out, as
+    scipy's sparse arithmetic drops them; the indices are int32.
+    """
+    keep = bands != 0
+    # band by band: numpy loops over a last axis of 5 slowly
+    counts = keep[:, 0].astype(np.int32)
+    for band in range(1, 5):
+        counts += keep[:, band]
+    indptr = np.zeros(len(bands) + 1, dtype=np.int32)
+    np.cumsum(counts, out=indptr[1:])
+    nph = box.nmax_phot
+    rows = np.arange(len(bands), dtype=np.int32)
+    columns = np.empty(bands.shape, dtype=np.int32)
+    for band, offset in enumerate((-nph - 1, -nph + 1, 0, nph - 1, nph + 1)):
+        np.add(rows, offset, out=columns[:, band])
+    return bands[keep], columns[keep], indptr
 
 
 def _tails(amplitudes: np.ndarray) -> tuple[float, float]:
@@ -257,16 +294,28 @@ def _generator(params: ModelParams, box: FockConfig, used: int,
 
     Returns ``((H - c)/r, c, r, onenorm)``: ``c +- r`` is the Gershgorin
     interval of H, which holds its spectrum, and ``onenorm`` the 1-norm of H
-    less its mean diagonal, which plans the substeps. Raises :class:`TruncationError` when ``used`` substeps
-    and those of the intervals ``dts`` still ahead come to more than
-    ``_MAX_STEPS``, or when the 1-norm or the count is past the range of
-    doubles.
+    less its mean diagonal, which plans the substeps. All come from the bands
+    of H, and each sum runs in the order of scipy's sparse arithmetic, so
+    they match it bitwise: a Gershgorin row sum adds a row's entries from the
+    left, and a 1-norm column sum is ``np.add.reduceat`` over the stored
+    entries of the column, which adds the first to the sum of the others.
+    H is symmetric, so its columns are its rows.
+
+    Raises :class:`TruncationError` when ``used`` substeps and those of the
+    intervals ``dts`` still ahead come to more than ``_MAX_STEPS``, or when
+    the 1-norm or the count is past the range of doubles.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # named below instead
-        h = sparse_hamiltonian(params, box)
-        n = h.shape[0]
-        shifted = h - (h.diagonal().sum() / n) * sparse.eye(n, format="csc")
-        onenorm = float(abs(shifted).sum(axis=0).max())
+        bands = _bands(params, box)
+        # a contiguous copy, so that its sum is that of scipy's diagonal
+        diag = bands[:, 2].copy()
+        # chi >= 0, so the off-diagonal bands are their own magnitudes
+        bands[:, 2] = np.abs(diag - diag.sum() / diag.size)
+        data, _, indptr = _csr(bands, box)
+        sums = np.zeros(diag.size)
+        rows = np.flatnonzero(np.diff(indptr))
+        sums[rows] = np.add.reduceat(data, indptr[rows])
+        onenorm = float(sums.max())
     if not math.isfinite(onenorm):
         raise TruncationError("Hamiltonian 1-norm is past the range of doubles")
     steps = used + _substeps(np.array(dts), onenorm).sum()
@@ -277,12 +326,19 @@ def _generator(params: ModelParams, box: FockConfig, used: int,
             f"evolution needs {steps:.3e} substeps > {_MAX_STEPS} "
             f"(Hamiltonian 1-norm {onenorm:.3e})"
         )
-    diag = h.diagonal()
-    reach = np.asarray(abs(h).sum(axis=1)).ravel() - np.abs(diag)
+    bands[:, 2] = np.abs(diag)
+    reach = bands[:, 0] + bands[:, 1]
+    for band in (2, 3, 4):
+        reach += bands[:, band]
+    reach -= bands[:, 2]
     low, high = float(np.min(diag - reach)), float(np.max(diag + reach))
     centre, radius = (high + low) / 2.0, (high - low) / 2.0
-    scaled = ((h - centre * sparse.eye(n, format="csc")) / radius).tocsr()
-    return scaled.astype(complex), centre, radius, onenorm
+    bands[:, 2] = diag - centre
+    data, indices, indptr = _csr(bands, box)
+    data *= 1.0 / radius  # as scipy divides by a scalar
+    scaled = sparse.csr_matrix((data.astype(complex), indices, indptr),
+                               shape=(box.dim, box.dim))
+    return scaled, centre, radius, onenorm
 
 
 def _bessel_coefficients(z: float) -> np.ndarray:

@@ -2,11 +2,13 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.special
+from scipy import sparse
 from numpy.testing import assert_allclose
 
 from caosim import (
@@ -31,8 +33,35 @@ from caosim.fock import sparse_hamiltonian
 from caosim.observables import evaluate
 
 
+def reference_hamiltonian(params, cfg):
+    """H built from the ladder operators by kron and sparse products."""
+    na, nph = cfg.nmax_atom, cfg.nmax_phot
+    c = sparse.kron(sparse.diags(np.sqrt(np.arange(1.0, na)), 1), sparse.eye(nph))
+    a = sparse.kron(sparse.eye(na), sparse.diags(np.sqrt(np.arange(1.0, nph)), 1))
+    h = (
+        c.T @ c
+        + params.delta * (a.T @ a)
+        + params.chi * (a.T @ c.T + a.T @ c + c.T @ a + c @ a)
+    )
+    return h.tocsc()
+
+
+def reference_generator(params, cfg):
+    """``fock._generator``'s matrix, interval and 1-norm by scipy's sparse arithmetic."""
+    h = reference_hamiltonian(params, cfg)
+    n = h.shape[0]
+    shifted = h - (h.diagonal().sum() / n) * sparse.eye(n, format="csc")
+    onenorm = float(abs(shifted).sum(axis=0).max())
+    diag = h.diagonal()
+    reach = np.asarray(abs(h).sum(axis=1)).ravel() - np.abs(diag)
+    low, high = float(np.min(diag - reach)), float(np.max(diag + reach))
+    centre, radius = (high + low) / 2.0, (high - low) / 2.0
+    scaled = ((h - centre * sparse.eye(n, format="csc")) / radius).tocsr()
+    return scaled.astype(complex), centre, radius, onenorm
+
+
 def dense_hamiltonian(params, cfg):
-    return sparse_hamiltonian(params, cfg).toarray()
+    return reference_hamiltonian(params, cfg).toarray()
 
 
 def dense_evolution(params, psi0, t, cfg):
@@ -44,7 +73,7 @@ def dense_evolution(params, psi0, t, cfg):
 
 def test_hamiltonian_diagonal_without_coupling():
     cfg = FockConfig(4, 5)
-    h = dense_hamiltonian(ModelParams(0.7, 0.0), cfg)
+    h = sparse_hamiltonian(ModelParams(0.7, 0.0), cfg).toarray()
     na = np.arange(4)[:, None]
     nph = np.arange(5)[None, :]
     assert_allclose(h, np.diag((na + 0.7 * nph).reshape(-1)), atol=1e-15)
@@ -52,7 +81,7 @@ def test_hamiltonian_diagonal_without_coupling():
 
 def test_hamiltonian_pair_creation_element():
     cfg = FockConfig(2, 2)
-    h = dense_hamiltonian(ModelParams(1.0, 1.0), cfg)
+    h = sparse_hamiltonian(ModelParams(1.0, 1.0), cfg).toarray()
     # basis order (n_atom, n_phot): |0,0>, |0,1>, |1,0>, |1,1>
     assert_allclose(h[3, 0], 1.0, rtol=1e-15)
     assert_allclose(h[0, 3], 1.0, rtol=1e-15)
@@ -63,7 +92,7 @@ def test_hamiltonian_pair_creation_element():
 
 
 def test_hamiltonian_exactly_symmetric():
-    h = dense_hamiltonian(ModelParams(-1.3, 0.9), FockConfig(6, 7))
+    h = sparse_hamiltonian(ModelParams(-1.3, 0.9), FockConfig(6, 7)).toarray()
     assert np.array_equal(h, h.T)
 
 
@@ -235,7 +264,7 @@ GROWN_TIMES = [1.0, 2.0, 3.0]
 
 def test_grown_run_is_one_evolution_matching_dense_in_its_final_box(monkeypatch):
     boxes, starts = [], []
-    build, step = fock.sparse_hamiltonian, fock.chebyshev_step
+    build, step = fock._bands, fock.chebyshev_step
 
     def spy_build(params, cfg):
         boxes.append((cfg.nmax_atom, cfg.nmax_phot))
@@ -246,7 +275,7 @@ def test_grown_run_is_one_evolution_matching_dense_in_its_final_box(monkeypatch)
         starts.append(not np.any(v.reshape(boxes[-1])[1:]))
         return step(scaled, centre, radius, dt, v)
 
-    monkeypatch.setattr(fock, "sparse_hamiltonian", spy_build)
+    monkeypatch.setattr(fock, "_bands", spy_build)
     monkeypatch.setattr(fock, "chebyshev_step", spy_step)
     records, used = oracle_records(GROWN_PARAMS, GROWN_INIT, GROWN_TIMES)
     assert sum(starts) == 1  # nothing is evolved twice from t=0
@@ -267,6 +296,31 @@ def test_grown_run_matches_the_gaussian_occupations():
     for rec, n1, n3 in zip(records, gauss.n1, gauss.n3):
         assert_allclose(rec.n1, n1, rtol=1e-9)
         assert_allclose(rec.n3, n3, rtol=1e-9)
+
+
+# The boxes that ``_generator`` builds H in, in order. A change to the build,
+# or to the planning and growth, that moves them changes what oracle-compare
+# prints. The second case is the benchmark's first oracle case.
+BOX_HISTORIES = [
+    (GROWN_PARAMS, GROWN_INIT, GROWN_TIMES, [(16, 24), (16, 32), (24, 32)]),
+    (ModelParams(-1.0, 1.0), OpticalInit(1.0, 0.3), [0.5, 1.0, 1.5],
+     [(16, 16), (24, 24), (32, 24), (40, 32), (48, 40), (56, 48), (64, 56),
+      (80, 64), (80, 80), (96, 96), (120, 120), (144, 144), (176, 176)]),
+]
+
+
+@pytest.mark.parametrize("params,init,times,history", BOX_HISTORIES)
+def test_box_history_is_frozen(monkeypatch, params, init, times, history):
+    boxes, generator = [], fock._generator
+
+    def spy(params, box, used, dts):
+        boxes.append((box.nmax_atom, box.nmax_phot))
+        return generator(params, box, used, dts)
+
+    monkeypatch.setattr(fock, "_generator", spy)
+    _, used = oracle_records(params, init, times)
+    assert boxes == history
+    assert (used.nmax_atom, used.nmax_phot) == history[-1]
 
 
 def test_adaptive_growth_hits_cap():
@@ -298,6 +352,55 @@ def test_chebyshev_step_matches_dense_expm(delta, chi):
         assert np.linalg.norm(out - ref) <= 1e-13
         assert abs(np.linalg.norm(out) - 1.0) <= 1e-13
     assert np.array_equal(fock.chebyshev_step(scaled, centre, radius, 0.0, psi), psi)
+
+
+def assert_matches_reference(params, box):
+    """H and ``_generator``'s outputs equal the scipy reference bitwise."""
+    ref = reference_hamiltonian(params, box).tocsr()
+    # kron builds 2-level photon sides as dense 2x2 blocks, zeros stored
+    ref.eliminate_zeros()
+    h = sparse_hamiltonian(params, box).tocsr()
+    for name in ("data", "indices", "indptr"):
+        got, want = getattr(h, name), getattr(ref, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+    scaled, centre, radius, onenorm = fock._generator(params, box, 0, [])
+    ref_scaled, ref_centre, ref_radius, ref_onenorm = reference_generator(params, box)
+    assert (centre, radius, onenorm) == (ref_centre, ref_radius, ref_onenorm)
+    rng = np.random.default_rng(box.dim)
+    v = rng.normal(size=box.dim) + 1j * rng.normal(size=box.dim)
+    assert np.array_equal(scaled @ v, ref_scaled @ v)
+
+
+BAND_BOXES = [(2, 2), (2, 5), (5, 2), (16, 16), (24, 40), (40, 24), (176, 176), (328, 624)]
+
+
+@pytest.mark.parametrize("delta,chi", [
+    (1.0, 1.0), (-1.0, 1.0), (0.0, 1.0), (2.0, 0.3), (-2.0, 0.2), (-0.5, 0.8),
+    (-1.0, 0.0), (0.0, 0.0), (1.0, 0.0), (-1.3, 0.9), (0.37, 1.9), (3.1, 0.05),
+])
+def test_band_hamiltonian_matches_the_kron_reference(delta, chi):
+    for box in BAND_BOXES:
+        assert_matches_reference(ModelParams(delta, chi), FockConfig(*box))
+
+
+@pytest.mark.parametrize("delta,box", [
+    (-1.0, (2, 2)), (-1.0, (16, 16)), (-1.0, (176, 176)), (0.0, (2, 2)), (0.0, (16, 16)),
+])
+def test_band_generator_with_empty_rows(delta, box):
+    # without coupling, rows whose diagonal is 0 hold nothing: with delta=-1
+    # those with n_atom = n_phot, the last row of a square box among them
+    params, box = ModelParams(delta, 0.0), FockConfig(*box)
+    assert 0.0 in reference_hamiltonian(params, box).diagonal()
+    assert_matches_reference(params, box)
+
+
+@pytest.mark.parametrize("delta,chi", [(0.0, 1e308), (1e10, 1.0), (1e308, 1.0)])
+def test_extreme_hamiltonian_raises_without_warnings(delta, chi):
+    # an infinite or NaN 1-norm, or a budget past _MAX_STEPS
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TruncationError):
+            oracle_records(ModelParams(delta, chi), OpticalInit(1.0, 0.0), [1.0])
 
 
 @pytest.mark.parametrize("z", [0.0, 0.01, 1.0, 7.3, 30.0, 62.0])
