@@ -312,6 +312,7 @@ def _generator(params: ModelParams, box: FockConfig, used: int,
         # chi >= 0, so the off-diagonal bands are their own magnitudes
         bands[:, 2] = np.abs(diag - diag.sum() / diag.size)
         data, _, indptr = _csr(bands, box)
+        # an empty row sums to 0: reduceat would give the next row's first entry
         sums = np.zeros(diag.size)
         rows = np.flatnonzero(np.diff(indptr))
         sums[rows] = np.add.reduceat(data, indptr[rows])
@@ -327,10 +328,7 @@ def _generator(params: ModelParams, box: FockConfig, used: int,
             f"(Hamiltonian 1-norm {onenorm:.3e})"
         )
     bands[:, 2] = np.abs(diag)
-    reach = bands[:, 0] + bands[:, 1]
-    for band in (2, 3, 4):
-        reach += bands[:, band]
-    reach -= bands[:, 2]
+    reach = bands[:, 0] + bands[:, 1] + bands[:, 2] + bands[:, 3] + bands[:, 4] - bands[:, 2]
     low, high = float(np.min(diag - reach)), float(np.max(diag + reach))
     centre, radius = (high + low) / 2.0, (high - low) / 2.0
     bands[:, 2] = diag - centre

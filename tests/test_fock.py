@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.special
-from scipy import sparse
 from numpy.testing import assert_allclose
+from scipy import sparse
 
 from caosim import (
     FockConfig,
@@ -46,9 +46,8 @@ def reference_hamiltonian(params, cfg):
     return h.tocsc()
 
 
-def reference_generator(params, cfg):
-    """``fock._generator``'s matrix, interval and 1-norm by scipy's sparse arithmetic."""
-    h = reference_hamiltonian(params, cfg)
+def reference_generator(h):
+    """``fock._generator``'s matrix, interval and 1-norm of H by scipy's sparse arithmetic."""
     n = h.shape[0]
     shifted = h - (h.diagonal().sum() / n) * sparse.eye(n, format="csc")
     onenorm = float(abs(shifted).sum(axis=0).max())
@@ -356,7 +355,8 @@ def test_chebyshev_step_matches_dense_expm(delta, chi):
 
 def assert_matches_reference(params, box):
     """H and ``_generator``'s outputs equal the scipy reference bitwise."""
-    ref = reference_hamiltonian(params, box).tocsr()
+    ref_h = reference_hamiltonian(params, box)
+    ref = ref_h.tocsr()
     # kron builds 2-level photon sides as dense 2x2 blocks, zeros stored
     ref.eliminate_zeros()
     h = sparse_hamiltonian(params, box).tocsr()
@@ -364,7 +364,7 @@ def assert_matches_reference(params, box):
         got, want = getattr(h, name), getattr(ref, name)
         assert got.dtype == want.dtype and np.array_equal(got, want), name
     scaled, centre, radius, onenorm = fock._generator(params, box, 0, [])
-    ref_scaled, ref_centre, ref_radius, ref_onenorm = reference_generator(params, box)
+    ref_scaled, ref_centre, ref_radius, ref_onenorm = reference_generator(ref_h)
     assert (centre, radius, onenorm) == (ref_centre, ref_radius, ref_onenorm)
     rng = np.random.default_rng(box.dim)
     v = rng.normal(size=box.dim) + 1j * rng.normal(size=box.dim)
