@@ -44,6 +44,7 @@ from .gaussian import (
 from .observables import (
     OCCUPATION_THRESHOLD,
     CorrelationRecord,
+    LongTimeWindows,
     OscillationSummary,
     correlation_record,
     evaluate,

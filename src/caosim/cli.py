@@ -18,6 +18,7 @@ error like a bad flag.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -34,6 +35,7 @@ from .gaussian import OpticalInit, coherent_states, evolve, initial_state  # noq
 from .model import ModelParams, build_generator, classify_regime
 from .observables import (  # noqa: F401
     CorrelationRecord,
+    LongTimeWindows,
     correlation_record,
     evaluate,
     long_time_g2,
@@ -331,12 +333,19 @@ def cmd_sweep(args, out):
         if stop < alpha2s.size * phis.size:
             overflow = args.t
     else:
+        # The regime, G(t) and the vacuum fluctuation moments of each window
+        # are the same for every cell: the cells share one set of windows,
+        # each computed by the first cell that reaches it. A stable regime
+        # fails here, before any row. Each cell still makes its own
+        # long_time_g2 call, which raises when the cell is left empty.
+        windows = LongTimeWindows(params)
         rows = []
         for a2, amp in zip(alpha2s.tolist(), amps.tolist()):
             for phi in phis.tolist():
                 try:  # one walk of long-time windows for all three modes
                     limits = long_time_g2(params, OpticalInit(amp, phi),
-                                          ("atomic", "optical", "cross"))
+                                          ("atomic", "optical", "cross"),
+                                          windows=windows)
                 except CaosimError:
                     limits = [None] * 3
                 else:  # beating regime: the oscillation means
@@ -492,6 +501,9 @@ COMMANDS = {
 }
 
 
+# One parser per process: each one built leaves cyclic garbage behind, so
+# repeated ``main`` calls would grow the heap until a collection runs.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="caosim",

@@ -106,19 +106,23 @@ def coherent_states(amp, phase) -> GaussianState:
     return GaussianState(mean=mean, smat=_VACUUM_SMAT)
 
 
-def evolve(s0: GaussianState, p: Propagator) -> GaussianState:
+def evolve(s0: GaussianState, p: Propagator, smat=None) -> GaussianState:
     """Push means and second moments through the Green's function.
 
     mean(t) = G mean(0) and S(t) = G S(0) G^T (plain transpose: the ordered
     moments transform bilinearly, with no conjugation). ``p.gmat`` may be a
     stack ``[..., 4, 4]`` that broadcasts against the batch axes of ``s0``.
+    ``smat``, when given, is S(t) already evolved through the same ``p``
+    from a state with the fluctuations of ``s0`` (seeds that share the
+    vacuum share it), and only the means are pushed through.
     """
     g = p.gmat
     gt = np.swapaxes(g, -1, -2)
     mean = s0.mean @ gt
-    smat = g @ s0.smat @ gt
+    if smat is None:
+        smat = g @ s0.smat @ gt
+        smat.setflags(write=False)
     mean.setflags(write=False)
-    smat.setflags(write=False)
     return GaussianState(mean=mean, smat=smat)
 
 

@@ -14,6 +14,12 @@ axes of a Gaussian state (a grid of seeds, a stack of times, or none), with
 NaN where a correlator is undefined; :func:`correlation_record` is its view
 of one unbatched state, with ``None`` there instead. :func:`evaluate` takes a
 seed through a stack of times to its records, and finds the first overflow.
+
+:func:`long_time_g2` walks windows of times until a correlator settles. The
+generator, its regime and, per window, the G(t) stack with the vacuum
+fluctuation moments evolved through it do not depend on the seed: they live
+in a :class:`LongTimeWindows`, which a sweep builds once and passes to every
+cell, and which a single call builds for itself.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ from .gaussian import (
     LIGHT_DAG,
     GaussianState,
     OpticalInit,
+    coherent_states,
     evolve,
     initial_state,
     moment4,
@@ -130,7 +137,8 @@ def correlation_record(
     return CorrelationRecord(t, *(None if math.isnan(v) else v for v in values))
 
 
-def evaluate(gen, s0: GaussianState, times) -> tuple[CorrelationRecord, int]:
+def evaluate(gen, s0: GaussianState, times, window=None
+             ) -> tuple[CorrelationRecord, int]:
     """The records of ``s0`` at ``times``, from one propagator stack and one
     batched record, and ``stop``, the number of cells before the first
     overflow.
@@ -141,10 +149,16 @@ def evaluate(gen, s0: GaussianState, times) -> tuple[CorrelationRecord, int]:
     doubles: an occupation is not finite, or a correlator is not finite
     although the occupations it is normalized by are defined. A true 0/0
     stays NaN and is no overflow.
+
+    ``window``, a ``(G, S)`` pair of :class:`LongTimeWindows` for ``gen`` and
+    ``times``, stands in for the stack and the second moments computed here;
+    ``s0`` must then hold vacuum fluctuations, as every initial state does.
     """
-    g = green_stack(gen, times, strict=False)  # a slice over the cap is NaN
+    if window is None:
+        window = green_stack(gen, times, strict=False), None  # a slice over the cap is NaN
+    g, smat = window
     with np.errstate(over="ignore", invalid="ignore"):
-        rec = records(evolve(s0, g), g.t)
+        rec = records(evolve(s0, g, smat), g.t)
         n1, n3 = rec.n1 > OCCUPATION_THRESHOLD, rec.n3 > OCCUPATION_THRESHOLD
         over = np.ravel(
             ~(np.isfinite(rec.n1) & np.isfinite(rec.n3))
@@ -217,13 +231,45 @@ class OscillationSummary:
     period: float
 
 
-def _samples(gen, s0: GaussianState, modes, times, last=None) -> list:
-    """The correlator of each of ``modes`` at ``times``, from one :func:`evaluate`.
+class LongTimeWindows:
+    """What every seed of a long-time walk at ``params`` shares.
+
+    ``gen`` and ``report`` are the generator and its regime, classified once;
+    a stable regime raises :class:`InvalidParameterError` here. Calling it
+    with a window ``(start, stop, samples)`` gives ``(G, S)``: the lenient
+    G(t) stack over ``np.linspace(start, stop, samples)`` and the vacuum
+    fluctuation moments evolved through it. Neither depends on the seed, so
+    each window is computed the first time any walk reaches it and is kept
+    for the life of the instance: one sweep, or one call.
+    """
+
+    def __init__(self, params: ModelParams):
+        self.params = params
+        self.gen = build_generator(params)
+        self.report = classify_regime(self.gen)
+        if self.report.regime == Regime.STABLE_I:
+            raise InvalidParameterError(
+                "long-time extraction requires an unstable regime (ii, iii or iv)"
+            )
+        self._windows = {}
+
+    def __call__(self, start: float, stop: float, samples: int):
+        key = (start, stop, samples)
+        if key not in self._windows:
+            g = green_stack(self.gen, np.linspace(*key), strict=False)
+            self._windows[key] = (g, evolve(coherent_states(0.0, 0.0), g).smat)
+        return self._windows[key]
+
+
+def _samples(windows: LongTimeWindows, s0: GaussianState, modes, window,
+             last=None) -> list:
+    """The correlator of each of ``modes`` over ``window``, from one :func:`evaluate`.
 
     An overflow is a :class:`NonConvergenceError` that carries ``last``, the
-    statistics of the last window before these times.
+    statistics of the last window before this one.
     """
-    rec, stop = evaluate(gen, s0, times)
+    stack = windows(*window)
+    rec, stop = evaluate(windows.gen, s0, stack[0].t, stack)
     if stop < rec.t.size:
         raise NonConvergenceError(
             f"moments overflow at t={float(rec.t[stop])} before convergence",
@@ -240,7 +286,8 @@ def _samples(gen, s0: GaussianState, modes, times, last=None) -> list:
     return samples
 
 
-def long_time_g2(params: ModelParams, init: OpticalInit, mode="atomic"):
+def long_time_g2(params: ModelParams, init: OpticalInit, mode="atomic", *,
+                 windows: LongTimeWindows | None = None):
     """Long-time value of a correlation in the unstable regimes.
 
     Returns a converged scalar in regimes ii and iv, and an
@@ -248,25 +295,29 @@ def long_time_g2(params: ModelParams, init: OpticalInit, mode="atomic"):
     :func:`evaluate` per window serves them all and the values are arrays.
     Each mode is frozen at its own first converged window and is checked for
     0/0 only until then, so it gets the value, or the error, of its own call.
+
+    ``windows``, a :class:`LongTimeWindows` of the same ``params``, lends the
+    walk its regime and the windows that earlier calls filled; without it
+    the call builds its own. The result is the same bitwise either way.
     """
     modes = mode if isinstance(mode, tuple) else (mode,)
     if not modes or not set(modes) <= _MODE_FIELDS.keys():
         raise InvalidParameterError(f"unknown mode {mode!r}")
-    gen = build_generator(params)
-    report = classify_regime(gen)
-    regime = report.regime
-    if regime == Regime.STABLE_I:
+    if windows is None:
+        windows = LongTimeWindows(params)
+    elif windows.params != params:
         raise InvalidParameterError(
-            "long-time extraction requires an unstable regime (ii, iii or iv)"
+            f"windows of {windows.params} cannot serve a walk at {params}"
         )
+    report = windows.report
+    regime = report.regime
     s0 = initial_state(init)
     result = np.array if isinstance(mode, tuple) else (lambda values: values[0])
 
     if regime == Regime.BEATING_EXPONENTIAL_III:
         period = 2.0 * math.pi / report.omega
-        samples = _samples(
-            gen, s0, modes, np.linspace(_T_REF, _T_REF + period, _PERIOD_SAMPLES)
-        )
+        samples = _samples(windows, s0, modes,
+                           (_T_REF, _T_REF + period, _PERIOD_SAMPLES))
         stats = ([float(f(v)) for v in samples] for f in (np.min, np.max, np.mean))
         return OscillationSummary(*map(result, stats), period)
 
@@ -274,8 +325,9 @@ def long_time_g2(params: ModelParams, init: OpticalInit, mode="atomic"):
     last = dict.fromkeys(modes)  # (mean, spread, t) of each mode's last window
     pending, t = list(last), _T_START
     while pending and t <= _T_MAX:
-        window = np.linspace(t, 2.0 * t, _WINDOW_SAMPLES)
-        for m, values in zip(pending, _samples(gen, s0, pending, window, last[pending[0]])):
+        window = (t, 2.0 * t, _WINDOW_SAMPLES)
+        for m, values in zip(pending, _samples(windows, s0, pending, window,
+                                               last[pending[0]])):
             mean = float(np.mean(values))
             spread = float(values.max() - values.min()) / max(abs(mean), 1e-300)
             if regime == Regime.SINGLE_EXPONENTIAL_II:

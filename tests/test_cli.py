@@ -4,6 +4,7 @@ Everything goes through ``cli.main`` with an in-memory stream so the tests
 see exactly the bytes a shell pipeline would.
 """
 
+import gc
 import io
 import json
 import math
@@ -20,15 +21,20 @@ from hypothesis import example, given, settings, strategies as st
 from caosim import (
     OCCUPATION_THRESHOLD,
     CaosimError,
+    InvalidParameterError,
+    NonConvergenceError,
     PropagatorOverflowError,
+    UndefinedCorrelationError,
     build_generator,
     cli,
     correlation_record,
     evolve,
     green_function,
+    green_stack,
     initial_state,
+    observables,
 )
-from caosim.observables import threshold_g2
+from caosim.observables import long_time_g2, threshold_g2
 from caosim.model import ModelParams
 from caosim.fock import FockConfig
 from caosim.gaussian import OpticalInit
@@ -549,6 +555,145 @@ def test_longtime_sweep_leaves_undefined_cell_empty():
     header, rows, comments = parse_csv(text)
     assert comments == []
     assert [row[2:] for row in rows] == [[""] * 5]
+
+
+def test_longtime_sweep_in_stable_regime_is_usage_error(capsys):
+    # the regime is classified once per sweep, before any row
+    code, text = run_cli(["sweep", "--delta", "2", "--chi", "0.3",
+                          "--time-policy", "longtime"])
+    assert code == cli.EXIT_USAGE
+    assert text == ""
+    assert "requires an unstable regime" in capsys.readouterr().err
+
+
+LONGTIME_MODES = ("atomic", "optical", "cross")
+
+
+def longtime_argv(delta, chi, a_lo, a_hi, a_n, p_n):
+    return ["sweep", "--delta", repr(delta), "--chi", repr(chi),
+            "--time-policy", "longtime", "--alpha2-min", repr(a_lo),
+            "--alpha2-max", repr(a_hi), "--alpha2-count", str(a_n),
+            "--phi-count", str(p_n)]
+
+
+def long_time_outcome(call):
+    """A comparable form of a long_time_g2 result, or of the error it raised."""
+    try:
+        got = call()
+    except CaosimError as exc:
+        return type(exc), str(exc), getattr(exc, "last_window", None)
+    if isinstance(got, observables.OscillationSummary):
+        return [got.minimum.tolist(), got.maximum.tolist(), got.mean.tolist(),
+                got.period]
+    return got.tolist()
+
+
+@pytest.mark.parametrize(
+    "delta, chi, grid, outcomes",
+    [
+        pytest.param(1.0, 1.0, (0.0, 9.0, 3, 3), {"ok"}, id="ii"),
+        pytest.param(-1.0, 1.0, (0.0, 9.0, 3, 3), {"ok"}, id="iii"),
+        pytest.param(0.0, 1.0, (0.0, 9.0, 3, 3), {"ok"}, id="delta=0"),
+        pytest.param(4.0, 1.0, (8.0, 10.0, 3, 4), {"ok"}, id="delta=4chi^2"),
+        # some cells never converge: NonConvergenceError with its last window
+        pytest.param(-3.0, 2.0 / math.sqrt(3.0), (1.0, 9.0, 4, 8),
+                     {"ok", NonConvergenceError}, id="negative-surface"),
+        # every cell is 0/0
+        pytest.param(0.0, 1e-8, (0.0, 0.0, 1, 2), {UndefinedCorrelationError},
+                     id="undefined"),
+        # the second row overflows its moments beside a converging first row
+        pytest.param(1.0, 1.0, (0.0, 1e150, 2, 2), {"ok", NonConvergenceError},
+                     id="overflow"),
+    ],
+)
+def test_longtime_sweep_cells_equal_standalone_calls(monkeypatch, delta, chi, grid,
+                                                     outcomes):
+    cells = []
+
+    def spy(*args, **kwargs):
+        cells.append((args, kwargs))
+        return long_time_g2(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "long_time_g2", spy)
+    code, _ = run_cli(longtime_argv(delta, chi, *grid))
+    assert code == cli.EXIT_OK
+    assert len(cells) == grid[2] * grid[3]
+    # one walk for the whole sweep, passed to every cell
+    walks = {id(kwargs["windows"]) for _, kwargs in cells}
+    assert len(walks) == 1 and cells[0][1]["windows"] is not None
+    # replayed in sweep order on one shared walk, each cell gives what a
+    # standalone call (a private walk) gives: the same bits or the same error
+    shared = observables.LongTimeWindows(ModelParams(delta, chi))
+    seen = set()
+    for (params, init, modes), _ in cells:
+        alone = long_time_outcome(lambda: long_time_g2(params, init, modes))
+        assert long_time_outcome(
+            lambda: long_time_g2(params, init, modes, windows=shared)) == alone
+        seen.add(alone[0] if isinstance(alone, tuple) else "ok")
+    assert seen == outcomes
+
+
+def test_long_time_windows_serve_only_their_parameters():
+    windows = observables.LongTimeWindows(ModelParams(1.0, 1.0))
+    with pytest.raises(InvalidParameterError, match="cannot serve"):
+        long_time_g2(ModelParams(1.0, 2.0), OpticalInit(1.0), "atomic",
+                     windows=windows)
+
+
+def test_no_longtime_state_outlives_a_sweep(monkeypatch):
+    # sweeps A, B, A in one process: each prints the bytes of a fresh
+    # process, and the second A computes every window again
+    a = longtime_argv(1.0, 1.0, 0.0, 9.0, 3, 4)
+    b = longtime_argv(-3.0, 2.0 / math.sqrt(3.0), 1.0, 9.0, 2, 4)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    fresh = {tuple(argv): subprocess.run(
+        [sys.executable, "-m", "caosim.cli", *argv], env=env, capture_output=True,
+        text=True, check=True, timeout=120).stdout for argv in (a, b)}
+    stacks = []
+
+    def counted(*args, **kwargs):
+        stacks[-1] += 1
+        return green_stack(*args, **kwargs)
+
+    monkeypatch.setattr(observables, "green_stack", counted)
+    for argv in (a, b, a):
+        stacks.append(0)
+        code, text = run_cli(argv)
+        assert code == cli.EXIT_OK
+        assert text == fresh[tuple(argv)]
+    # one stack per window that the slowest cell reaches, not one per cell
+    # and window: A settles in its second window, B in its third
+    assert stacks == [2, 3, 2]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--delta", "1", "--chi", "1"],
+        ["evolve", "--delta", "1", "--chi", "1", "--steps", "3"],
+        ["sweep", "--delta", "1", "--chi", "1", "--alpha2-count", "2",
+         "--phi-count", "2"],
+        longtime_argv(1.0, 1.0, 0.0, 9.0, 2, 2),
+        ["threshold", "--delta-c", "0", "--chi", "1", "--alpha2", "4"],
+        ["oracle-compare", "--delta", "2", "--chi", "0.3", "--times", "0.5"],
+    ],
+    ids=["classify", "evolve", "sweep-fixed", "sweep-longtime", "threshold",
+         "oracle-compare"],
+)
+def test_main_leaves_no_cyclic_garbage(argv):
+    # the parser is built once per process: a parser per call left its
+    # reference cycles behind, and the heap grew with the number of calls
+    run_cli(argv)
+    gc.collect()
+    gc.disable()
+    try:
+        code, _ = run_cli(argv)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert code == cli.EXIT_OK
 
 
 @pytest.mark.parametrize("span", [["--t-end=inf"], ["--t-start=-inf"], ["--t-end=nan"]])
