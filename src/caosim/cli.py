@@ -333,11 +333,11 @@ def cmd_sweep(args, out):
         if stop < alpha2s.size * phis.size:
             overflow = args.t
     else:
-        # The regime, G(t) and the vacuum fluctuation moments of each window
-        # are the same for every cell: the cells share one set of windows,
-        # each computed by the first cell that reaches it. A stable regime
-        # fails here, before any row. Each cell still makes its own
-        # long_time_g2 call, which raises when the cell is left empty.
+        # The regime, the window ladder, G(t) over it and the vacuum
+        # fluctuation moments are the same for every cell: they are computed
+        # once, here, and shared. A stable regime fails here, before any
+        # row. Each cell still makes its own long_time_g2 call, one
+        # evaluation over the ladder, which raises when the cell is left empty.
         windows = LongTimeWindows(params)
         rows = []
         for a2, amp in zip(alpha2s.tolist(), amps.tolist()):

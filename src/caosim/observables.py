@@ -15,11 +15,12 @@ NaN where a correlator is undefined; :func:`correlation_record` is its view
 of one unbatched state, with ``None`` there instead. :func:`evaluate` takes a
 seed through a stack of times to its records, and finds the first overflow.
 
-:func:`long_time_g2` walks windows of times until a correlator settles. The
-generator, its regime and, per window, the G(t) stack with the vacuum
-fluctuation moments evolved through it do not depend on the seed: they live
-in a :class:`LongTimeWindows`, which a sweep builds once and passes to every
-cell, and which a single call builds for itself.
+:func:`long_time_g2` scans a fixed ladder of time windows for the first in
+which a correlator settles. The generator, its regime, the ladder and the
+G(t) stack over it with the vacuum fluctuation moments evolved through it do
+not depend on the seed: a :class:`LongTimeWindows` computes them once, at
+construction. A sweep builds one and passes it to every cell, and a single
+call builds its own; either way each call makes one :func:`evaluate`.
 """
 
 from __future__ import annotations
@@ -150,9 +151,10 @@ def evaluate(gen, s0: GaussianState, times, window=None
     although the occupations it is normalized by are defined. A true 0/0
     stays NaN and is no overflow.
 
-    ``window``, a ``(G, S)`` pair of :class:`LongTimeWindows` for ``gen`` and
-    ``times``, stands in for the stack and the second moments computed here;
-    ``s0`` must then hold vacuum fluctuations, as every initial state does.
+    ``window``, a ``(G, S)`` pair for ``gen`` and ``times`` such as
+    :attr:`LongTimeWindows.ladder`, stands in for the stack and the second
+    moments computed here; ``s0`` must then hold vacuum fluctuations, as
+    every initial state does.
     """
     if window is None:
         window = green_stack(gen, times, strict=False), None  # a slice over the cap is NaN
@@ -185,6 +187,9 @@ def threshold_g2(
     chi = params.chi
     if chi <= 0:
         raise InvalidParameterError("threshold formula requires chi > 0")
+    # chi**2 raises OverflowError past about 1.34e154; from 1e154 on, 8 chi^2
+    # is inf either way, so the phase shift below is the same (a signed 0)
+    chi2 = chi**2 if chi < 1e154 else math.inf
 
     def surface(delta):
         return classify_regime(build_generator(ModelParams(delta, chi)), tol).threshold_kind
@@ -192,13 +197,13 @@ def threshold_g2(
     kind = surface(delta_c)
     if kind not in (ThresholdKind.DELTA_ZERO, ThresholdKind.DELTA_FOUR_CHI_SQ):
         raise InvalidParameterError(
-            f"delta_c must be 0 or 4*chi^2={4.0 * chi**2}, got {delta_c}"
+            f"delta_c must be 0 or 4*chi^2={4.0 * chi2}, got {delta_c}"
         )
     if surface(params.delta) is not kind:
         raise InvalidParameterError(
             f"params.delta={params.delta} is off the critical surface delta={delta_c}"
         )
-    cos2 = math.cos(init.phase - math.pi * delta_c / (8.0 * chi**2)) ** 2
+    cos2 = math.cos(init.phase - math.pi * delta_c / (8.0 * chi2)) ** 2
     u = init.intensity * cos2
     a = 1.0 + delta_c
     # 1 + 2a(a + 8u)/(a + 4u)^2 with x = a/(a + 4u), which stays finite as
@@ -208,11 +213,11 @@ def threshold_g2(
     return 1.0 + 2.0 * x * (2.0 - x)
 
 
-# The long-time walk: windows [t, 2t] of 9 samples, from t=10 doubling while
+# The long-time ladder: windows [t, 2t] of 9 samples, from t=10 doubling while
 # t <= 2000; in regime iii one period from t=30 at 65 samples. The benchmark's
-# checks assume these values: bench/workloads.py::_check_in_late_range that the
-# last window ends at 2560, and bench/reference.py::oscillation_mean that the
-# period starts at t=30 and has 65 samples.
+# checks assume these values (bench/workloads.py::_check_in_late_range that the
+# last window ends at 2560, bench/reference.py::oscillation_mean that the period
+# starts at t=30 and has 65 samples), and a test pins them.
 _T_START, _T_MAX, _WINDOW_SAMPLES = 10.0, 2000.0, 9
 _T_REF, _PERIOD_SAMPLES = 30.0, 65
 # Convergence: the spread of one window in regime ii; in regime iv, where the
@@ -232,15 +237,16 @@ class OscillationSummary:
 
 
 class LongTimeWindows:
-    """What every seed of a long-time walk at ``params`` shares.
+    """What every seed of a long-time scan at ``params`` shares, fixed at
+    construction.
 
     ``gen`` and ``report`` are the generator and its regime, classified once;
-    a stable regime raises :class:`InvalidParameterError` here. Calling it
-    with a window ``(start, stop, samples)`` gives ``(G, S)``: the lenient
-    G(t) stack over ``np.linspace(start, stop, samples)`` and the vacuum
-    fluctuation moments evolved through it. Neither depends on the seed, so
-    each window is computed the first time any walk reaches it and is kept
-    for the life of the instance: one sweep, or one call.
+    a stable regime raises :class:`InvalidParameterError` here. ``times`` is
+    the regime's ladder, one window per row: [t, 2t] at 9 samples from t=10,
+    doubling while t <= 2000, or in regime iii one ``period`` 2 pi / omega
+    from t=30 at 65 samples. ``ladder`` is the ``(G, S)`` pair over it: the
+    lenient G(t) stack and the vacuum fluctuation moments evolved through it.
+    None of it depends on the seed.
     """
 
     def __init__(self, params: ModelParams):
@@ -251,39 +257,16 @@ class LongTimeWindows:
             raise InvalidParameterError(
                 "long-time extraction requires an unstable regime (ii, iii or iv)"
             )
-        self._windows = {}
-
-    def __call__(self, start: float, stop: float, samples: int):
-        key = (start, stop, samples)
-        if key not in self._windows:
-            g = green_stack(self.gen, np.linspace(*key), strict=False)
-            self._windows[key] = (g, evolve(coherent_states(0.0, 0.0), g).smat)
-        return self._windows[key]
-
-
-def _samples(windows: LongTimeWindows, s0: GaussianState, modes, window,
-             last=None) -> list:
-    """The correlator of each of ``modes`` over ``window``, from one :func:`evaluate`.
-
-    An overflow is a :class:`NonConvergenceError` that carries ``last``, the
-    statistics of the last window before this one.
-    """
-    stack = windows(*window)
-    rec, stop = evaluate(windows.gen, s0, stack[0].t, stack)
-    if stop < rec.t.size:
-        raise NonConvergenceError(
-            f"moments overflow at t={float(rec.t[stop])} before convergence",
-            last_window=last,
-        )
-    samples = [getattr(rec, _MODE_FIELDS[mode]) for mode in modes]
-    for mode, values in zip(modes, samples):
-        undefined = np.isnan(values)
-        if np.any(undefined):
-            n = {"atomic": rec.n1, "optical": rec.n3}.get(mode, np.minimum(rec.n1, rec.n3))
-            raise UndefinedCorrelationError(
-                f"g2 {mode}", float(n[undefined][0]), OCCUPATION_THRESHOLD
-            )
-    return samples
+        if self.report.regime == Regime.BEATING_EXPONENTIAL_III:
+            self.period = 2.0 * math.pi / self.report.omega
+            times = np.linspace(_T_REF, _T_REF + self.period, _PERIOD_SAMPLES)[None]
+        else:
+            self.period = None
+            starts = _T_START * 2.0 ** np.arange(int(math.log2(_T_MAX / _T_START)) + 1)
+            times = np.linspace(starts, 2.0 * starts, _WINDOW_SAMPLES, axis=-1)
+        g = green_stack(self.gen, times, strict=False)  # a slice over the cap is NaN
+        self.times = g.t
+        self.ladder = g, evolve(coherent_states(0.0, 0.0), g).smat
 
 
 def long_time_g2(params: ModelParams, init: OpticalInit, mode="atomic", *,
@@ -291,14 +274,18 @@ def long_time_g2(params: ModelParams, init: OpticalInit, mode="atomic", *,
     """Long-time value of a correlation in the unstable regimes.
 
     Returns a converged scalar in regimes ii and iv, and an
-    :class:`OscillationSummary` in regime iii. For a tuple of modes, one
-    :func:`evaluate` per window serves them all and the values are arrays.
-    Each mode is frozen at its own first converged window and is checked for
-    0/0 only until then, so it gets the value, or the error, of its own call.
+    :class:`OscillationSummary` in regime iii. One :func:`evaluate` covers
+    the whole ladder of ``windows``, which are then scanned in order. In
+    each window an overflow is a :class:`NonConvergenceError` that carries
+    the statistics of the window before, then a pending mode that is 0/0
+    is an :class:`UndefinedCorrelationError`. For a tuple of modes the
+    values are arrays; each mode is frozen at its own first converged
+    window and is checked for 0/0 only until then, so it gets the value,
+    or the error, of its own call.
 
-    ``windows``, a :class:`LongTimeWindows` of the same ``params``, lends the
-    walk its regime and the windows that earlier calls filled; without it
-    the call builds its own. The result is the same bitwise either way.
+    ``windows``, a :class:`LongTimeWindows` of the same ``params``, lends
+    the scan its regime and ladder; without it the call builds its own. The
+    result is the same bitwise either way.
     """
     modes = mode if isinstance(mode, tuple) else (mode,)
     if not modes or not set(modes) <= _MODE_FIELDS.keys():
@@ -309,25 +296,33 @@ def long_time_g2(params: ModelParams, init: OpticalInit, mode="atomic", *,
         raise InvalidParameterError(
             f"windows of {windows.params} cannot serve a walk at {params}"
         )
-    report = windows.report
-    regime = report.regime
-    s0 = initial_state(init)
+    regime = windows.report.regime
     result = np.array if isinstance(mode, tuple) else (lambda values: values[0])
-
-    if regime == Regime.BEATING_EXPONENTIAL_III:
-        period = 2.0 * math.pi / report.omega
-        samples = _samples(windows, s0, modes,
-                           (_T_REF, _T_REF + period, _PERIOD_SAMPLES))
-        stats = ([float(f(v)) for v in samples] for f in (np.min, np.max, np.mean))
-        return OscillationSummary(*map(result, stats), period)
+    rec, stop = evaluate(windows.gen, initial_state(init), windows.times, windows.ladder)
+    samples = {m: getattr(rec, _MODE_FIELDS[m]) for m in modes}  # one row per window
 
     limits = {}
     last = dict.fromkeys(modes)  # (mean, spread, t) of each mode's last window
-    pending, t = list(last), _T_START
-    while pending and t <= _T_MAX:
-        window = (t, 2.0 * t, _WINDOW_SAMPLES)
-        for m, values in zip(pending, _samples(windows, s0, pending, window,
-                                               last[pending[0]])):
+    pending = list(last)
+    for k, t in enumerate(rec.t[:, 0].tolist()):
+        if stop < (k + 1) * rec.t.shape[1]:
+            raise NonConvergenceError(
+                f"moments overflow at t={float(rec.t.flat[stop])} before convergence",
+                last_window=last[pending[0]],
+            )
+        for m in pending:
+            undefined = np.isnan(samples[m][k])
+            if undefined.any():
+                n = {"atomic": rec.n1, "optical": rec.n3}.get(m, np.minimum(rec.n1, rec.n3))[k]
+                raise UndefinedCorrelationError(
+                    f"g2 {m}", float(n[undefined][0]), OCCUPATION_THRESHOLD
+                )
+        if regime == Regime.BEATING_EXPONENTIAL_III:
+            stats = ([float(f(samples[m][0])) for m in modes]
+                     for f in (np.min, np.max, np.mean))
+            return OscillationSummary(*map(result, stats), windows.period)
+        for m in pending:
+            values = samples[m][k]
             mean = float(np.mean(values))
             spread = float(values.max() - values.min()) / max(abs(mean), 1e-300)
             if regime == Regime.SINGLE_EXPONENTIAL_II:
@@ -339,9 +334,8 @@ def long_time_g2(params: ModelParams, init: OpticalInit, mode="atomic", *,
                 limits[m] = mean
             last[m] = (mean, spread, t)
         pending = [m for m in pending if m not in limits]
-        t *= 2.0
-    if pending:
-        raise NonConvergenceError(
-            f"no convergence up to t_max={_T_MAX}", last_window=last[pending[0]]
-        )
-    return result([limits[m] for m in modes])
+        if not pending:
+            return result([limits[m] for m in modes])
+    raise NonConvergenceError(
+        f"no convergence up to t_max={_T_MAX}", last_window=last[pending[0]]
+    )

@@ -472,6 +472,16 @@ def test_threshold_finite_at_huge_intensity():
     assert 1.0 <= float(text) <= 3.0
 
 
+@pytest.mark.parametrize("chi", ["1e154", "1.4e154", "1e300"])
+def test_threshold_at_delta_zero_takes_any_coupling(chi):
+    # on delta_c = 0 the value does not depend on chi; chi**2 overflows
+    # past about 1.34e154 and must not end the run
+    code, text = run_cli(["threshold", "--delta-c", "0", "--chi", chi, "--alpha2", "4"])
+    assert code == cli.EXIT_OK
+    assert text == run_cli(["threshold", "--delta-c", "0", "--chi", "1",
+                            "--alpha2", "4"])[1] == "1.2283737024221453\n"
+
+
 def test_classification_failure_is_numerical_failure(monkeypatch):
     def fail(*args, **kwargs):
         raise CaosimError("classification failed")
@@ -642,7 +652,7 @@ def test_long_time_windows_serve_only_their_parameters():
 
 def test_no_longtime_state_outlives_a_sweep(monkeypatch):
     # sweeps A, B, A in one process: each prints the bytes of a fresh
-    # process, and the second A computes every window again
+    # process, and the second A computes its ladder again
     a = longtime_argv(1.0, 1.0, 0.0, 9.0, 3, 4)
     b = longtime_argv(-3.0, 2.0 / math.sqrt(3.0), 1.0, 9.0, 2, 4)
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
@@ -663,9 +673,8 @@ def test_no_longtime_state_outlives_a_sweep(monkeypatch):
         code, text = run_cli(argv)
         assert code == cli.EXIT_OK
         assert text == fresh[tuple(argv)]
-    # one stack per window that the slowest cell reaches, not one per cell
-    # and window: A settles in its second window, B in its third
-    assert stacks == [2, 3, 2]
+    # one stack per sweep, over the whole ladder, shared by every cell
+    assert stacks == [1, 1, 1]
 
 
 @pytest.mark.parametrize(

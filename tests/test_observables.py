@@ -14,6 +14,7 @@ from caosim import (
     NonConvergenceError,
     OpticalInit,
     OscillationSummary,
+    Regime,
     ThresholdKind,
     UndefinedCorrelationError,
     build_generator,
@@ -231,22 +232,22 @@ def _outcome(call):
 )
 def test_long_time_modes_share_windows(monkeypatch, delta, chi, init):
     params = ModelParams(delta, chi)
-    windows = []
+    evaluations = []
 
     def evaluate_counted(*args):
-        windows[-1] += 1
+        evaluations[-1] += 1
         return evaluate(*args)
 
     monkeypatch.setattr(observables, "evaluate", evaluate_counted)
 
     def walk(mode):
-        windows.append(0)
+        evaluations.append(0)
         return _outcome(lambda: long_time_g2(params, init, mode))
 
     singles = [walk(m) for m in MODES]
     got = walk(MODES)
-    # one evaluation per window serves every mode still pending
-    assert windows[-1] == max(windows[:-1])
+    # one evaluation over the whole ladder serves one mode or every mode
+    assert evaluations == [1, 1, 1, 1]
     errors = [e for e in singles if isinstance(e, CaosimError)]
 
     def error_key(e):
@@ -291,6 +292,129 @@ def test_long_time_overflow_is_nonconvergence(monkeypatch, amp, rtol, t, last_t)
             long_time_g2(ModelParams(1.0, 1.0), OpticalInit(amp, 0.3), "atomic")
     last = err.value.last_window
     assert (last and last[2]) == last_t
+
+
+def walk_reference(params, init, modes):
+    """The walk that the ladder scan replaced: one :func:`evaluate` per
+    window, each followed by the decision whether to go on."""
+    gen = build_generator(params)
+    report = classify_regime(gen)
+    s0 = initial_state(init)
+
+    def samples(pending, times, last=None):
+        rec, stop = evaluate(gen, s0, times)
+        if stop < rec.t.size:
+            raise NonConvergenceError(
+                f"moments overflow at t={float(rec.t[stop])} before convergence",
+                last_window=last)
+        values = [getattr(rec, observables._MODE_FIELDS[m]) for m in pending]
+        for m, v in zip(pending, values):
+            if np.isnan(v).any():
+                n = {"atomic": rec.n1, "optical": rec.n3}.get(m, np.minimum(rec.n1, rec.n3))
+                raise UndefinedCorrelationError(f"g2 {m}", float(n[np.isnan(v)][0]),
+                                                observables.OCCUPATION_THRESHOLD)
+        return values
+
+    if report.regime == Regime.BEATING_EXPONENTIAL_III:
+        period = 2.0 * math.pi / report.omega
+        values = samples(modes, np.linspace(30.0, 30.0 + period, 65))
+        return OscillationSummary(*(np.array([float(f(v)) for v in values])
+                                    for f in (np.min, np.max, np.mean)), period)
+    limits, last, t = {}, dict.fromkeys(modes), 10.0
+    while len(limits) < len(last) and t <= 2000.0:
+        pending = [m for m in last if m not in limits]
+        for m, v in zip(pending, samples(pending, np.linspace(t, 2.0 * t, 9),
+                                         last[pending[0]])):
+            mean = float(np.mean(v))
+            spread = float(v.max() - v.min()) / max(abs(mean), 1e-300)
+            if report.regime == Regime.SINGLE_EXPONENTIAL_II:
+                converged = spread < observables._RTOL
+            else:
+                converged = last[m] is not None and abs(mean - last[m][0]) <= 1e-3 * abs(mean)
+            if converged:
+                limits[m] = mean
+            last[m] = (mean, spread, t)
+        t *= 2.0
+    pending = [m for m in last if m not in limits]
+    if pending:
+        raise NonConvergenceError("no convergence up to t_max=2000.0",
+                                  last_window=last[pending[0]])
+    return np.array([limits[m] for m in modes])
+
+
+def _comparable(call):
+    """A long-time result as nested lists, or the type, message and last
+    window of the error it raised."""
+    try:
+        got = call()
+    except CaosimError as exc:
+        return type(exc), str(exc), getattr(exc, "last_window", None)
+    if isinstance(got, OscillationSummary):
+        return [np.atleast_1d(getattr(got, name)).tolist()
+                for name in ("minimum", "maximum", "mean")] + [got.period]
+    return np.atleast_1d(got).tolist()
+
+
+def _seeded(delta, chi, alpha2_range, count, seed):
+    rng = np.random.default_rng(seed)
+    return [pytest.param(delta, chi, OpticalInit(math.sqrt(rng.uniform(*alpha2_range)),
+                                                 rng.uniform(0.0, 2.0 * math.pi)), None,
+                         id=f"({delta:g},{chi:.3g})-seed{seed}-{i}")
+            for i in range(count)]
+
+
+@pytest.mark.parametrize(
+    "delta, chi, init, rtol",
+    [
+        # delta = chi = 1 settles long before the ladder's late windows,
+        # which are NaN past the entry cap from t ~ 170 on
+        *_seeded(1.0, 1.0, (0.0, 9.0), 3, 5),
+        *_seeded(4.0, 1.0, (8.0, 10.0), 2, 6),
+        # the modes converge at the 5th, 6th and 7th window
+        pytest.param(4.0, 1.0, OpticalInit(math.sqrt(8.0), 0.0), None, id="delta=4chi^2"),
+        pytest.param(-3.0, CHI_NEGATIVE_SURFACE, OpticalInit(1.0, 0.25 * math.pi), None,
+                     id="negative-surface-nonconvergent"),
+        pytest.param(-1.0, 1.0, OpticalInit(1.0, 0.5), None, id="iii"),
+        pytest.param(0.0, 1e-8, OpticalInit(0.0, 0.0), None, id="undefined"),
+        pytest.param(1.0, 1.0, OpticalInit(1e75, 0.3), None, id="overflow-first-window"),
+        pytest.param(1.0, 1.0, OpticalInit(1e60, 0.3), 0.0, id="overflow-at-45"),
+    ],
+)
+def test_long_time_scan_equals_window_by_window_walk(monkeypatch, delta, chi, init, rtol):
+    if rtol is not None:
+        monkeypatch.setattr(observables, "_RTOL", rtol)
+    params = ModelParams(delta, chi)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for modes in (MODES, *((m,) for m in MODES)):
+            want = _comparable(lambda: walk_reference(params, init, modes))
+            mode = modes if len(modes) > 1 else modes[0]
+            assert _comparable(lambda: long_time_g2(params, init, mode)) == want
+
+
+def test_late_ladder_windows_past_the_cap_are_nan():
+    gmat = observables.LongTimeWindows(ModelParams(1.0, 1.0)).ladder[0].gmat
+    assert np.isfinite(gmat[:4]).all() and np.isnan(gmat[5:]).all()
+
+
+@pytest.mark.parametrize("delta, chi", [(1.0, 1.0), (0.0, 1.0), (4.0, 1.0),
+                                        (-3.0, CHI_NEGATIVE_SURFACE)])
+def test_long_time_ladder_doubles_from_10_to_2560(delta, chi):
+    # bench/workloads.py::_check_in_late_range takes the last window to end at 2560
+    times = observables.LongTimeWindows(ModelParams(delta, chi)).times
+    starts = [10.0 * 2.0**k for k in range(8)]
+    assert times.tolist() == [np.linspace(t, 2.0 * t, 9).tolist() for t in starts]
+    assert (times[0, 0], times[-1, -1]) == (10.0, 2560.0)
+
+
+def test_long_time_ladder_in_regime_iii_is_one_period_from_30():
+    # bench/reference.py::oscillation_mean samples one period from t=30 at 65 samples
+    windows = observables.LongTimeWindows(ModelParams(-1.0, 1.0))
+    period = 2.0 * math.pi / windows.report.omega
+    assert windows.times.tolist() == [np.linspace(30.0, 30.0 + period, 65).tolist()]
+    summary = long_time_g2(ModelParams(-1.0, 1.0), OpticalInit(1.0), "atomic",
+                           windows=windows)
+    assert summary.period == period
 
 
 def test_evaluate_stops_at_first_overflowing_cell_in_c_order():
