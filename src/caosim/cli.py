@@ -3,6 +3,10 @@
 Subcommands: classify, evolve, sweep, threshold, oracle-compare. Output is
 CSV (header row, ``#``-prefixed comment/footer rows, 17-significant-digit
 floats, ``\\n`` line endings) or a single JSON object via ``--json``.
+Every table (evolve, sweep, oracle-compare) is one 2-D float array from
+evaluation to output, with NaN for an empty cell. CSV writes it ``BLOCK``
+rows per write through one ``%.17g`` row template: NaN is an empty field and
+``inf`` prints as ``inf``. JSON has ``null`` for NaN.
 
 Exit codes: 0 success, 1 comparison failure, 2 usage error, 3 numerical
 failure (overflow / non-convergence / truncation inadequacy).
@@ -63,15 +67,19 @@ EXIT_COMPARISON_FAILED = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
-# Times per G(t) stack in ``evolve``: one stack of every time of a long
-# series would hold them all in memory at once.
-EVOLVE_BLOCK = 256
+# Rows per block: ``evolve`` takes one G(t) stack per block of times (one
+# stack of a long series would hold every time in memory at once), and a CSV
+# table is formatted and written one block at a time.
+BLOCK = 256
 
 # Most rows of one table (``evolve`` steps, ``sweep`` cells): 100x the
-# largest benchmark table (10000 steps). A fixed-sweep row costs about 1 kB
-# (its record cell, its Python row and its text), so a table at the cap
-# needs about 1 GB; a larger count is a usage error before any array is
-# built, not a failed allocation or a full memory.
+# largest benchmark table (10000 steps). A fixed-sweep row peaks at about
+# 240 B in CSV (its record cell and its float-table row; the text is made
+# ``BLOCK`` rows at a time) and about 1.3 kB with --json (its Python row as
+# well), by tracemalloc over a 10^5-row sweep written to a file. So a table
+# at the cap needs about 0.25 GB, or 1.3 GB as JSON; a larger count is a
+# usage error before any array is built, not a failed allocation or a full
+# memory.
 MAX_ROWS = 10**6
 
 # Figure presets: captioned parameters baked in. The phases behind the 3b/3c
@@ -89,17 +97,27 @@ PRESETS = {
 
 
 def _fmt(value) -> str:
-    if value is None:
-        return ""
     return format(float(value), ".17g")
 
 
-def _emit_csv(out, header, rows, footer_comments=()):
+def _emit_csv(out, header, table, footer_comments=()):
+    """Write the float array ``table`` under ``header``, ``BLOCK`` rows per
+    write. ``'%.17g' % x`` gives the bytes of ``_fmt(x)``; NaN, which prints
+    as ``nan`` (the only field that can contain those letters), becomes an
+    empty field, and ``inf`` stays ``inf``."""
     out.write(",".join(header) + "\n")
-    for row in rows:
-        out.write(",".join(_fmt(v) for v in row) + "\n")
+    template = ",".join(["%.17g"] * len(header)) + "\n"
+    for start in range(0, len(table), BLOCK):
+        block = table[start:start + BLOCK]
+        text = template * len(block) % tuple(block.ravel().tolist())
+        out.write(text.replace("nan", ""))
     for comment in footer_comments:
         out.write(f"# {comment}\n")
+
+
+def _json_rows(table) -> list:
+    """The rows of ``table`` as lists, with None (JSON null) for NaN."""
+    return [[None if math.isnan(v) else v for v in row] for row in table.tolist()]
 
 
 def _emit_json(out, command, payload):
@@ -256,23 +274,24 @@ def cmd_classify(args, out):
     return EXIT_OK
 
 
-def _rows(columns, stop=None) -> list:
+def _table(columns, stop=None) -> np.ndarray:
     """The first ``stop`` rows (all by default), in C order, of a table whose
-    columns broadcast together, with None (an empty field) for NaN."""
+    columns broadcast together, as one float array; NaN is an empty cell."""
     cells = np.stack(np.broadcast_arrays(*columns), -1).reshape(-1, len(columns))
-    return [[None if math.isnan(v) else v for v in row] for row in cells[:stop].tolist()]
+    return cells[:stop]
 
 
-def _emit_table(args, out, command, params, header, rows, overflow):
-    """Write ``rows``, which stop before the first overflow, at time
+def _emit_table(args, out, command, params, header, table, overflow):
+    """Write ``table``, whose rows stop before the first overflow, at time
     ``overflow`` (None when there is none): the ``#`` footer, or the JSON
     ``overflow`` field, names it, and the exit code is 3."""
     footer = [] if overflow is None else [f"overflow at t={_fmt(overflow)}"]
     if args.json:
-        _emit_json(out, command, {**params, "columns": header, "rows": rows,
+        _emit_json(out, command, {**params, "columns": header,
+                                  "rows": _json_rows(table),
                                   "overflow": footer[0] if footer else None})
     else:
-        _emit_csv(out, header, rows, footer)
+        _emit_csv(out, header, table, footer)
     return EXIT_NUMERICAL if footer else EXIT_OK
 
 
@@ -294,18 +313,19 @@ def cmd_evolve(args, out):
     gen = build_generator(ModelParams(args.delta, args.chi))
     s0 = initial_state(OpticalInit(_amplitudes(args.alpha2), args.phi))
     times = np.linspace(args.t_start, args.t_end, args.steps)
-    rows = []
+    blocks = []
     overflow = None
-    for start in range(0, times.size, EVOLVE_BLOCK):
-        block = times[start:start + EVOLVE_BLOCK]
+    for start in range(0, times.size, BLOCK):
+        block = times[start:start + BLOCK]
         rec, stop = evaluate(gen, s0, block)
-        rows += _rows([getattr(rec, name) for name in RECORD_HEADER], stop)
+        blocks.append(_table([getattr(rec, name) for name in RECORD_HEADER], stop))
         if stop < block.size:
             overflow = block[stop]
             break
     params = {"delta": args.delta, "chi": args.chi, "alpha2": args.alpha2,
               "phi": args.phi}
-    return _emit_table(args, out, "evolve", params, RECORD_HEADER, rows, overflow)
+    return _emit_table(args, out, "evolve", params, RECORD_HEADER,
+                       np.concatenate(blocks), overflow)
 
 
 def cmd_sweep(args, out):
@@ -328,8 +348,8 @@ def cmd_sweep(args, out):
         rec, stop = evaluate(
             build_generator(params), coherent_states(amps[:, None], phis), args.t
         )
-        rows = _rows([alpha2s[:, None], phis,
-                      *(getattr(rec, name) for name in SWEEP_HEADER[2:])], stop)
+        table = _table([alpha2s[:, None], phis,
+                        *(getattr(rec, name) for name in SWEEP_HEADER[2:])], stop)
         if stop < alpha2s.size * phis.size:
             overflow = args.t
     else:
@@ -338,26 +358,25 @@ def cmd_sweep(args, out):
         # once, here, and shared. A stable regime fails here, before any
         # row. Each cell still makes its own long_time_g2 call, one
         # evaluation over the ladder, which raises when the cell is left empty.
+        # The bounds columns have no long-time value and stay empty.
         windows = LongTimeWindows(params)
-        rows = []
-        for a2, amp in zip(alpha2s.tolist(), amps.tolist()):
-            for phi in phis.tolist():
-                try:  # one walk of long-time windows for all three modes
-                    limits = long_time_g2(params, OpticalInit(amp, phi),
-                                          ("atomic", "optical", "cross"),
-                                          windows=windows)
-                except CaosimError:
-                    limits = [None] * 3
-                else:  # beating regime: the oscillation means
-                    means = limits if isinstance(limits, np.ndarray) else limits.mean
-                    limits = means.tolist()
-                rows.append([a2, phi, *limits, None, None])
+        table = _table([alpha2s[:, None], phis, *[math.nan] * 5])
+        seeds = ((amp, phi) for amp in amps.tolist() for phi in phis.tolist())
+        for row, (amp, phi) in zip(table, seeds):
+            try:  # one walk of long-time windows for all three modes
+                limits = long_time_g2(params, OpticalInit(amp, phi),
+                                      ("atomic", "optical", "cross"),
+                                      windows=windows)
+            except CaosimError:
+                continue
+            # beating regime: the oscillation means
+            row[2:5] = limits if isinstance(limits, np.ndarray) else limits.mean
     return _emit_table(args, out, "sweep", {
         "delta": args.delta,
         "chi": args.chi,
         "time_policy": args.time_policy,
         "t": args.t if args.time_policy == "fixed" else None,
-    }, SWEEP_HEADER, rows, overflow)
+    }, SWEEP_HEADER, table, overflow)
 
 
 def cmd_threshold(args, out):
@@ -410,7 +429,7 @@ def cmd_oracle_compare(args, out):
     names = fields[:5]  # the compared columns, without the bounds
     header = ["t", *(f"{n}_{side}" for n in names for side in ("gaussian", "fock")),
               "occupation_rel_dev", "g2_abs_dev"]
-    rows = []
+    table = np.empty((0, len(header)))
     errors = None
     overflow = None
     try:
@@ -435,8 +454,8 @@ def cmd_oracle_compare(args, out):
         # a correlator undefined (NaN) on either side is not compared
         dg = np.fmax.reduce([abs(fock[n] - gauss[n]) for n in fields[2:]],
                             axis=0, initial=0.0)
-        rows = _rows([times[:stop], *(side[n] for n in names for side in (gauss, fock)),
-                      dn, dg])
+        table = _table([times[:stop], *(side[n] for n in names for side in (gauss, fock)),
+                        dn, dg])
         errors = {"max_occupation_rel": float(np.max(dn, initial=0.0)),
                   "max_g2_abs": float(np.max(dg, initial=0.0))}
         if overflow is not None:
@@ -459,12 +478,12 @@ def cmd_oracle_compare(args, out):
                 "status": status,
                 "errors": errors,
                 "columns": header,
-                "rows": rows,
+                "rows": _json_rows(table),
                 "comments": comments,
             },
         )
     else:
-        _emit_csv(out, header, rows, comments)
+        _emit_csv(out, header, table, comments)
     return {"PASS": EXIT_OK, "FAIL": EXIT_COMPARISON_FAILED}.get(status, EXIT_NUMERICAL)
 
 

@@ -677,6 +677,84 @@ def test_no_longtime_state_outlives_a_sweep(monkeypatch):
     assert stacks == [1, 1, 1]
 
 
+def csv_by_cell(header, rows, footer):
+    """The CSV that formatting each cell on its own gives: 17 significant
+    digits, and an empty field for NaN."""
+    lines = [",".join(header)]
+    lines += [",".join("" if math.isnan(v) else format(float(v), ".17g") for v in row)
+              for row in rows]
+    lines += [f"# {comment}" for comment in footer]
+    return "".join(line + "\n" for line in lines)
+
+
+WRITER_VALUES = [math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324,
+                 1.7976931348623157e308, 0.1, 2.0**53 + 1.0]
+
+
+@pytest.mark.parametrize("ncols", [1, 9])
+@pytest.mark.parametrize("nrows", [0, 1, cli.BLOCK - 1, cli.BLOCK, cli.BLOCK + 1,
+                                   2 * cli.BLOCK + 3])
+def test_csv_writer_matches_per_cell_formatting(nrows, ncols):
+    rng = np.random.default_rng([nrows, ncols])
+    size = nrows * ncols
+    # magnitudes from 1e-300 to 1e300, of both signs
+    cells = rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-300.0, 300.0, size)
+    # the edge values, in order from the first cell and then at random cells
+    special = np.array(WRITER_VALUES)
+    cells[:special.size] = special[:size]
+    picked = rng.random(size) < 0.2
+    cells[picked] = rng.choice(special, np.count_nonzero(picked))
+    table = cells.reshape(nrows, ncols)
+    header = [f"c{i}" for i in range(ncols)]
+    footer = ["overflow at t=8", "status: PASS"]
+    out = io.StringIO()
+    cli._emit_csv(out, header, table, footer)
+    assert out.getvalue() == csv_by_cell(header, table.tolist(), footer)
+
+
+def reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+@pytest.mark.parametrize(
+    "argv, limits",
+    [
+        pytest.param(["evolve", "--delta", "1", "--chi", "0", "--steps", "3"], None,
+                     id="evolve-0/0"),
+        pytest.param(["sweep", "--delta", "1", "--chi", "0", "--alpha2-max", "1",
+                      "--alpha2-count", "2", "--phi-count", "2", "--t", "2"], None,
+                     id="fixed-sweep-0/0"),
+        pytest.param(longtime_argv(0.0, 1e-8, 0.0, 0.0, 1, 1), None,
+                     id="longtime-undefined-cell"),
+        pytest.param(longtime_argv(1.0, 1.0, 0.0, 9.0, 2, 2), [math.nan, 1.5, math.nan],
+                     id="longtime-nan-limit"),
+        pytest.param(["oracle-compare", "--delta", "1", "--chi", "0", "--times",
+                      "0.5,1"], None, id="oracle-compare-0/0"),
+    ],
+)
+def test_every_nan_is_an_empty_field_and_a_json_null(monkeypatch, argv, limits):
+    # One rule for every table: a NaN cell is an empty CSV field and a JSON
+    # null, whatever made it (0/0, a long-time cell that raised, a long-time
+    # limit that is NaN, the long-time bounds columns). No table prints
+    # ``nan``, and --json output is strict JSON.
+    if limits is not None:
+        monkeypatch.setattr(cli, "long_time_g2", lambda *args, **kw: np.array(limits))
+    code, text = run_cli(argv)
+    json_code, json_text = run_cli(argv + ["--json"])
+    assert code == json_code
+    doc = json.loads(json_text, parse_constant=reject_constant)
+    header, rows, _ = parse_csv(text)
+    assert doc["columns"] == header
+    assert len(doc["rows"]) == len(rows)
+    assert "nan" not in text
+    empty = [[field == "" for field in row] for row in rows]
+    assert empty == [[value is None for value in row] for row in doc["rows"]]
+    assert any(map(any, empty))
+    for row, values in zip(rows, doc["rows"]):
+        assert [field for field in row if field] == [
+            format(value, ".17g") for value in values if value is not None]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
