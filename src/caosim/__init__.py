@@ -24,8 +24,8 @@ from .model import (
     RegimeReport,
     ThresholdKind,
     build_generator,
+    characteristic_roots,
     classify_regime,
-    eigenfrequencies,
 )
 from .propagator import Propagator, green_function, green_stack, verify_propagator
 from .gaussian import (

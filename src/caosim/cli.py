@@ -38,6 +38,7 @@ from .errors import CaosimError, InvalidParameterError, TruncationError
 from .gaussian import OpticalInit, coherent_states, evolve, initial_state  # noqa: F401
 from .model import ModelParams, build_generator, classify_regime
 from .observables import (  # noqa: F401
+    OCCUPATION_THRESHOLD,
     CorrelationRecord,
     LongTimeWindows,
     correlation_record,
@@ -251,7 +252,7 @@ def cmd_classify(args, out):
                 "delta": args.delta,
                 "chi": args.chi,
                 "regime": report.regime.value,
-                "eigenfrequencies": list(report.eigenfrequencies),
+                "eigenfrequencies": list(report.frequencies),
                 "omega": report.omega,
                 "gamma": report.gamma,
                 "threshold_kind": report.threshold_kind.value
@@ -265,7 +266,7 @@ def cmd_classify(args, out):
             label += f" (threshold {report.threshold_kind.value})"
         out.write(label + "\n")
         freqs = ", ".join(
-            f"{w.real:+.12g}{w.imag:+.12g}j" for w in report.eigenfrequencies
+            f"{w.real:+.12g}{w.imag:+.12g}j" for w in report.frequencies
         )
         out.write(f"eigenfrequencies: {freqs}\n")
         if report.omega is not None:
@@ -447,10 +448,12 @@ def cmd_oracle_compare(args, out):
         # an undefined fock correlator (None) becomes NaN
         fock = {n: np.array([getattr(r, n) for r in fock_recs[:stop]], dtype=float)
                 for n in fields}
-        dn = np.maximum(
-            abs(fock["n3"] - gauss["n3"]) / np.maximum(gauss["n3"], 1e-300),
-            abs(fock["n1"] - gauss["n1"]) / np.where(gauss["n1"] > 0, gauss["n1"], np.inf),
-        )
+        # an occupation at roundoff (below the threshold where a correlation
+        # is defined) is compared as a difference, not relative to itself
+        dn = np.maximum.reduce([
+            abs(fock[n] - gauss[n]) / np.maximum(gauss[n], OCCUPATION_THRESHOLD)
+            for n in ("n1", "n3")
+        ])
         # a correlator undefined (NaN) on either side is not compared
         dg = np.fmax.reduce([abs(fock[n] - gauss[n]) for n in fields[2:]],
                             axis=0, initial=0.0)

@@ -86,17 +86,32 @@ class DriftGenerator:
 
 @dataclass(frozen=True)
 class RegimeReport:
-    """Eigenfrequencies of M together with the stability classification.
+    """The spectrum of M together with the stability classification.
 
-    ``omega`` (oscillation frequency) and ``gamma`` (growth rate) are set for
-    the unstable regimes ii and iii; ``threshold_kind`` is set for regime iv.
+    ``roots`` are the two roots w^2 of the characteristic polynomial (see
+    :func:`characteristic_roots`), the larger first; ``omega`` (oscillation
+    frequency) and ``gamma`` (growth rate) are set for the unstable regimes
+    ii and iii; ``threshold_kind`` is set for regime iv.
     """
 
-    eigenfrequencies: np.ndarray
+    roots: tuple[complex, complex]
     regime: Regime
     omega: float | None = None
     gamma: float | None = None
     threshold_kind: ThresholdKind | None = None
+
+    @property
+    def frequencies(self) -> np.ndarray:
+        """The four eigenfrequencies w of M (solutions evolve as e^{i w t}):
+        +sqrt(w1^2), -sqrt(w1^2), +sqrt(w2^2), -sqrt(w2^2), with the principal
+        square root and w1^2 the larger root.
+
+        The list is closed under complex conjugation: a negative w^2 gives
+        +-i sqrt|w^2|, and complex roots (regime iii) are a conjugate pair,
+        so conjugation swaps the first pair with the second.
+        """
+        w1, w2 = (cmath.sqrt(w) for w in self.roots)
+        return np.array([w1, -w1, w2, -w2]) + 0.0  # + 0.0: no signed zeros
 
 
 def build_generator(params: ModelParams) -> DriftGenerator:
@@ -114,9 +129,24 @@ def build_generator(params: ModelParams) -> DriftGenerator:
     return DriftGenerator(matrix=m, params=params)
 
 
-def eigenfrequencies(gen: DriftGenerator) -> np.ndarray:
-    """Eigenfrequencies omega_k of the generator (solutions evolve as e^{i omega t})."""
-    return np.linalg.eigvals(gen.matrix)
+def characteristic_roots(d, chi):
+    """The roots w^2 of w^4 - s w^2 + p, with s = 1 + delta^2 and
+    p = delta (delta - 4 chi^2), and its discriminant D = s^2 - 4 p =
+    (1 - delta^2)^2 + 16 chi^2 delta, as ``(w1^2, w2^2, D)``.
+
+    ``d`` and ``chi`` are numpy scalars of one float type, which the results
+    keep: :func:`classify_regime` passes float64, the propagator long double.
+    For D >= 0 the larger root is w1^2 = (s + sqrt D) / 2 and the smaller
+    w2^2 = p / w1^2, which has no cancellation; for D < 0 the roots are the
+    conjugate pair w1^2 = (s + i sqrt(-D)) / 2 and its conjugate.
+    """
+    s = 1 + d**2
+    disc = (1 - d**2) ** 2 + 16 * chi**2 * d
+    if disc >= 0:
+        w1 = (s + np.sqrt(disc)) / 2
+        return w1, d * (d - 4 * chi**2) / w1, disc
+    w1 = (s + 1j * np.sqrt(-disc)) * 0.5
+    return w1, np.conj(w1), disc
 
 
 def _critical_condition(d, chi, tol: float) -> ThresholdKind | None:
@@ -149,12 +179,15 @@ def classify_regime(gen: DriftGenerator, tol: float = 1e-9) -> RegimeReport:
       roundoff band ``tol``, which must lie in (0, 1e-6];
     - iii: else if delta < 0 and D < 0, with omega + i gamma the root
       sqrt((1 + delta^2 + i sqrt(-D)) / 2);
-    - ii: else if 0 < delta < 4 chi^2, with omega^2 = (1 + delta^2 + sqrt D) / 2
-      and gamma^2 = -delta (delta - 4 chi^2) / omega^2 (no cancellation);
+    - ii: else if 0 < delta < 4 chi^2, with omega^2 = w1^2 = (1 + delta^2 + sqrt D) / 2
+      and gamma^2 = -w2^2 = -delta (delta - 4 chi^2) / omega^2;
     - i: every other point, where both roots w^2 are positive.
 
-    ``eigenfrequencies`` are LAPACK's, for display only. An intermediate past
-    the range of doubles (4 chi^2 at chi=1e154) raises FloatingPointError.
+    ``roots`` are the two roots w^2 from :func:`characteristic_roots`, which
+    the propagator uses too; where chi^2 or D pass the range of doubles they
+    are taken in long double. A root past the range of doubles (w1^2 at
+    delta > 1.34e154), or an intermediate of the threshold test past it (4
+    chi^2 off delta=0 at chi=1e154), raises FloatingPointError.
     """
     if not 0 < tol <= 1e-6:
         raise InvalidParameterError(
@@ -162,17 +195,21 @@ def classify_regime(gen: DriftGenerator, tol: float = 1e-9) -> RegimeReport:
         )
     d, chi = np.float64(gen.params.delta), np.float64(gen.params.chi)
     kind = _critical_condition(d, chi, tol)
-    freqs = eigenfrequencies(gen)
+    try:
+        w1sq, w2sq, disc = characteristic_roots(d, chi)
+    except FloatingPointError:  # chi^2 or D past the doubles, as at delta=0, chi=1e154
+        w1sq, w2sq, disc = characteristic_roots(np.longdouble(d), np.longdouble(chi))
+    roots = (complex(w1sq), complex(w2sq))
+    if not all(map(cmath.isfinite, roots)):
+        raise FloatingPointError("the roots w^2 pass the range of doubles")
     if kind is not None:
-        return RegimeReport(freqs, Regime.DEGENERATE_THRESHOLD_IV, threshold_kind=kind)
-    if d > 4.0 * chi**2:  # both roots w^2 are positive; D may be past the doubles
-        return RegimeReport(freqs, Regime.STABLE_I)
-    disc = (1.0 - d**2) ** 2 + 16.0 * chi**2 * d
-    if d > 0.0:
-        w2 = (1.0 + d**2 + math.sqrt(disc)) / 2.0
-        return RegimeReport(freqs, Regime.SINGLE_EXPONENTIAL_II, math.sqrt(w2),
-                            math.sqrt(-d * (d - 4.0 * chi**2) / w2))
+        return RegimeReport(roots, Regime.DEGENERATE_THRESHOLD_IV, threshold_kind=kind)
+    if d > 4.0 * chi**2:  # both roots w^2 are positive
+        return RegimeReport(roots, Regime.STABLE_I)
+    if d > 0.0:  # w2^2 = p / w1^2 < 0: no cancellation in gamma
+        return RegimeReport(roots, Regime.SINGLE_EXPONENTIAL_II, math.sqrt(w1sq),
+                            math.sqrt(-w2sq))
     if disc < 0.0:
-        w = cmath.sqrt(complex(1.0 + d**2, math.sqrt(-disc)) / 2.0)
-        return RegimeReport(freqs, Regime.BEATING_EXPONENTIAL_III, w.real, w.imag)
-    return RegimeReport(freqs, Regime.STABLE_I)
+        w = cmath.sqrt(w1sq)
+        return RegimeReport(roots, Regime.BEATING_EXPONENTIAL_III, w.real, w.imag)
+    return RegimeReport(roots, Regime.STABLE_I)

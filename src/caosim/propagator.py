@@ -1,16 +1,48 @@
 """Green's-function matrix G(t) solving the linear Heisenberg system.
 
-G(t) maps initial operators to evolved ones, x_i(t) = sum_j G(t)_ij x_j(0),
-and is computed as the matrix exponential of i*M*t by Pade-13 scaling and
-squaring (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005)), for a whole
-stack of times in one batched numpy call.
-This single code path is exact (up to roundoff) in every regime, including
-the degenerate thresholds where the secular polynomial-in-t growth emerges
-automatically from the exponential of a non-diagonalizable generator.
+G(t) maps initial operators to evolved ones, x_i(t) = sum_j G(t)_ij x_j(0).
+G(t) = exp(i M t) is taken in closed form from the characteristic polynomial
+of the generator (Putzer, Amer. Math. Monthly 73, 2 (1966); Moler & Van Loan,
+SIAM Rev. 45, 3 (2003)), for a whole stack of times at once.
 
-The exponential is evaluated in the quadrature basis, where the generator is
-real; this makes the conjugation symmetry K G K = conj(G) hold exactly by
-construction instead of only up to roundoff.
+(i M)^2 = -M^2 has the two eigenvalues mu_k = -w_k^2, where w_k^2 are the
+roots of w^4 - s w^2 + p that :func:`classify_regime` decides from
+(:func:`characteristic_roots`). By Cayley-Hamilton
+
+    exp(i M t) = F0(-M^2) + i M F1(-M^2),
+    F0(x) = cosh(sqrt(x) t),  F1(x) = sinh(sqrt(x) t) / sqrt(x),
+
+and each F(-M^2) is the two-node interpolant F(mu1) I + F[mu1, mu2] N with
+N = w1^2 I - M^2 and F[mu1, mu2] the divided difference. So
+
+    G(t) = a0 I + b0 N + i (a1 M + b1 M N),
+
+four real weights per time on four fixed real matrices. This one path holds
+in every regime: on the thresholds, where a root is 0 or the two coincide,
+the divided differences become derivatives and give the secular growth in t.
+
+- The fixed matrices. The base node w1^2 is the larger root, the fast mode,
+  on which N vanishes; the slow mode, which grows in regime ii, enters only
+  through N and M N. Their entries are written out in (delta, chi), with
+  the one cancellation, w1^2 - delta^2 or w1^2 - 1, taken as 4 chi^2 delta
+  over its partner. So no entry of size delta is weighted by a growing
+  function and then cancelled. For the conjugate roots of regime iii the
+  base is Re(w1^2), which keeps every matrix and weight real.
+- The weights. Let a = sqrt(mu1) t and b = sqrt(mu2) t, with the sign of b
+  such that |a - b| <= |a + b|. Let u, v = (a + b)/2, (a - b)/2 and
+  shc(z) = sinh(z)/z. Then F0(mu1) = cosh a, F1(mu1) = t shc a,
+  F0[mu1, mu2] = (t^2/2) shc u shc v, and
+  F1[mu1, mu2] = t^3 (shc a - shc b) / (a^2 - b^2). As the roots meet
+  (D -> 0, |v| < 1/2) the last is (cosh u shc v - shc u cosh v) / (2 a b),
+  and for |u| < 1 a power series in a^2 and b^2.
+- The phases. The imaginary parts of a, b, u and v are reduced modulo 2 pi
+  in long double before their sines and cosines are taken, so that a phase
+  of 1e10 keeps its digits.
+
+The weights combine the fixed matrices elementwise, never through a matrix
+product whose kernel depends on the batch size, so each slice of a stack
+equals its one-time result bitwise. The real part is even and the imaginary
+part odd under K (``CONJUGATION_PERM``), so K G K = conj(G) holds exactly.
 """
 
 from __future__ import annotations
@@ -21,63 +53,86 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError, PropagatorOverflowError
-from .model import CONJUGATION_PERM, SYMPLECTIC_FORM, DriftGenerator
+from .model import CONJUGATION_PERM, SYMPLECTIC_FORM, DriftGenerator, characteristic_roots
 
 # Second moments scale like the square of a Green-function entry and the
 # fourth-moment sums multiply two of those, so entries must stay below
 # roughly 1e77 for downstream statistics to remain finite in doubles.
 DEFAULT_ENTRY_CAP = 1e75
 
-_SQ = 1.0 / math.sqrt(2.0)
-# (c, c†) = B (q, p) per mode; x = T z with z the quadrature vector.
-_B = np.array([[_SQ, 1j * _SQ], [_SQ, -1j * _SQ]])
-_TO_LADDER = np.block(
-    [[_B, np.zeros((2, 2))], [np.zeros((2, 2)), _B]]
-)
-_TO_QUAD = np.linalg.inv(_TO_LADDER)
-
-# Pade-13 coefficients b_k / b_0 (Higham 2005, Table 2.3), so that the
-# constant term is I: the raw b_0 ~ 6.5e16 costs digits over many squarings.
-_PADE13 = np.array([
-    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-    1187353796428800.0, 129060195264000.0, 10559470521600.0,
-    670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
-    16380.0, 182.0, 1.0,
-]) / 64764752532480000.0
-# Largest 1-norm at which the degree-13 approximant meets unit roundoff.
-_THETA13 = 5.371920351148152
+_LD = np.longdouble
+_TWO_PI = 2 * np.arccos(_LD(-1))
+# 1/(2k+1)! for k = 1..14: (shc a - shc b)/(a^2 - b^2) = sum_k h_{k-1}(a^2, b^2)/(2k+1)!
+# with h_j the complete homogeneous polynomial; 14 terms reach roundoff for |a|, |b| < 2
+_SERIES = [1.0 / math.factorial(2 * k + 1) for k in range(1, 15)]
 
 
-def _expm(a: np.ndarray) -> np.ndarray:
-    """exp of every slice of a real stack ``a`` of shape ``[n, 4, 4]``.
+def _closed_form(gen: DriftGenerator):
+    """What every time of a stack shares: the rates ``lam`` of a, b, u, v per
+    unit time (long double complex), Im(w1^2), and N, M and M N, flat."""
+    d, chi = _LD(gen.params.delta), _LD(gen.params.chi)
+    w1sq, w2sq, disc = characteristic_roots(d, chi)
+    # N's diagonal: x = Re(w1^2) - 1 on the light, y = Re(w1^2) - delta^2 on
+    # the atom; for real roots x y = 4 chi^2 delta, which gives the smaller one
+    e = (d - 1) * (d + 1) / 2
+    nu = np.sqrt(disc) / 2 if disc >= 0 else _LD(0)
+    x, y = e + nu, nu - e
+    if disc >= 0 and (x or y):
+        if abs(x) >= abs(y):
+            y = 4 * chi**2 * d / x
+        else:
+            x = 4 * chi**2 * d / y
+    f, fd = 2 * chi**2, 2 * chi**2 * d
+    cp, cm = chi * (1 + d), chi * (d - 1)
+    pp, mm = chi * (1 + d - y), chi * (1 - d - y)
+    n = np.array([x, 0, -cp, cm, 0, x, cm, -cp,
+                  -cp, -cm, y, 0, -cm, -cp, 0, y], dtype=float)
+    mn = np.array([fd - x, fd, pp, mm, -fd, x - fd, -mm, -pp,
+                   pp, mm, f - d * y, f, -mm, -pp, -f, d * y - f], dtype=float)
+    l1 = 1j * np.sqrt(np.clongdouble(w1sq))
+    l2 = 1j * np.sqrt(np.clongdouble(w2sq))
+    if abs(l1 - l2) > abs(l1 + l2):
+        l2 = -l2
+    lam = np.array([l1, l2, (l1 + l2) / 2, (l1 - l2) / 2])
+    return lam, float(np.imag(w1sq)), n, gen.matrix.ravel(), mn
 
-    Each slice is scaled by ``2**-s``, with ``s`` the least non-negative
-    integer that brings its 1-norm under ``_THETA13``, and squared back ``s``
-    times; the squarings are masked per slice, so every slice equals its own
-    one-slice result bitwise. A slice whose 1-norm is not finite is NaN.
-    """
-    norm = np.abs(a).sum(axis=-2).max(axis=-1)
-    finite = np.isfinite(norm)
-    a = np.where(finite[:, None, None], a, 0.0)
-    # s = ceil(log2(norm / theta)) from the binary exponent, with no log of 0
-    mant, s = np.frexp(np.where(finite, norm, 0.0) / _THETA13)
-    s = np.maximum(s - (mant == 0.5), 0)
-    a = np.ldexp(a, -s[:, None, None])
-    b = _PADE13
-    eye = np.eye(4)
-    a2 = a @ a
-    a4 = a2 @ a2
-    a6 = a4 @ a2
-    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
-    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
-         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
-    r = np.linalg.solve(v - u, v + u)
-    for k in range(int(s.max(initial=0))):
-        sq = s > k
-        r[sq] = r[sq] @ r[sq]
-    r[~finite] = np.nan
-    return r
+
+def _shc(z, z_reduced):
+    """sinh(z)/z, 1 at z = 0, from sinh of ``z_reduced`` = z mod 2 pi i."""
+    out = np.ones(z.shape, complex)
+    return np.divide(np.sinh(z_reduced), z, out=out, where=z != 0)
+
+
+def _weights(lam, shift, t):
+    """The weights a0, b0, a1, b1 of I, N, M and M N at the times ``t``."""
+    y = lam.imag[:, None] * t.astype(_LD)
+    x = lam.real.astype(float)[:, None] * t
+    z = x + 1j * y.astype(float)  # a, b, u, v
+    turns = np.rint(z.imag / (2 * np.pi))
+    zr = x + 1j * (y - _TWO_PI * turns).astype(float)
+    a, b, u, v = z
+    sa, sb, su, sv = _shc(z, zr)
+    d0 = t * t / 2 * su * sv  # F0[mu1, mu2]
+    # phi = F1[mu1, mu2] / t^3: the difference quotient apart, another form
+    # where the roots meet, a power series where both are small
+    phi = (sa - sb) / (4 * u * v)
+    near = (np.abs(u) >= 1) & (np.abs(v) < 0.5)
+    if near.any():
+        cosh_u, cosh_v = np.cosh(zr[2:, near])
+        phi[near] = (cosh_u * sv[near] - su[near] * cosh_v) / (2 * a[near] * b[near])
+    small = np.abs(u) < 1
+    if small.any():
+        a2, b2 = a[small] ** 2, b[small] ** 2
+        h_prev, h = 0.0, 1.0
+        acc = _SERIES[0] * h
+        for c in _SERIES[1:]:
+            h_prev, h = h, (a2 + b2) * h - a2 * b2 * h_prev
+            acc = acc + c * h
+        phi[small] = acc
+    d1 = t**3 * phi
+    # a = F(mu1) + (Re mu1 - mu1) F[mu1, mu2], and Re mu1 - mu1 = i Im(w1^2)
+    return (np.cosh(zr[0]).real - shift * d0.imag, d0.real,
+            t * sa.real - shift * d1.imag, d1.real)
 
 
 @dataclass(frozen=True)
@@ -101,10 +156,11 @@ def green_stack(
 ) -> Propagator:
     """Compute G(t) = exp(i M t) for every time of ``times``, of any shape.
 
-    One batched Pade-13 scaling-and-squaring evaluation covers the whole
-    stack, with the scaling chosen per slice, so every slice equals the
-    single-time result bitwise. ``t`` of the result is the array of times and
-    ``gmat`` has shape ``times.shape + (4, 4)``.
+    The closed form of the module docstring covers the whole stack: the
+    roots and the fixed matrices once, then four weights per time, combined
+    elementwise, so every slice equals the single-time result bitwise.
+    ``t`` of the result is the array of times and ``gmat`` has shape
+    ``times.shape + (4, 4)``.
 
     Raises :class:`PropagatorOverflowError` for the first time, in C order,
     at which any entry magnitude exceeds ``entry_cap`` or is not finite: that
@@ -117,11 +173,18 @@ def green_stack(
     bad_t = ~np.isfinite(flat)
     if bad_t.any():
         raise InvalidParameterError(f"t must be finite, got {flat[np.argmax(bad_t)]}")
-    # past the cap the generator or the squarings overflow to inf and NaN;
-    # the cap reports it
-    with np.errstate(over="ignore", invalid="ignore"):
-        quad_gen = (_TO_QUAD @ (1j * gen.matrix) @ _TO_LADDER).real
-        gmat = _TO_LADDER @ _expm(quad_gen * flat[:, None, None]) @ _TO_QUAD
+    # past the cap the weights overflow to inf and NaN; the cap reports it
+    with np.errstate(all="ignore"):
+        lam, shift, n, m, mn = _closed_form(gen)
+        a0, b0, a1, b1 = _weights(lam, shift, flat)
+        re = np.multiply.outer(n, b0)
+        re[::5] += a0  # the diagonal of I
+        im = np.multiply.outer(m, a1)
+        im += np.multiply.outer(mn, b1)
+        gmat = np.empty((flat.size, 16), complex)
+        gmat.real = re.T
+        gmat.imag = im.T
+        gmat = gmat.reshape(-1, 4, 4)
         max_entry = np.max(np.abs(gmat), axis=(-2, -1), initial=0.0)
     over = ~(max_entry <= entry_cap)
     if over.any():

@@ -34,7 +34,7 @@ from caosim import (
     initial_state,
     observables,
 )
-from caosim.observables import long_time_g2, threshold_g2
+from caosim.observables import CorrelationRecord, long_time_g2, threshold_g2
 from caosim.model import ModelParams
 from caosim.fock import FockConfig
 from caosim.gaussian import OpticalInit
@@ -173,6 +173,19 @@ def test_classify_json_regimes():
     assert doc["gamma"] == pytest.approx(0.78615137775742328, abs=1e-12)
 
 
+@pytest.mark.parametrize("delta, chi, line", [
+    # the double zero of delta=4 chi^2, and the roots 1 and 0 of delta=0 at
+    # strong coupling, exactly; regime ii prints omega and i gamma
+    ("4", "1", "+4.12310562562+0j, -4.12310562562+0j, +0+0j, +0+0j"),
+    ("0", "1e10", "+1+0j, -1+0j, +0+0j, +0+0j"),
+    ("1", "1e5", "+447.214713533+0j, -447.214713533+0j, +0+447.212477465j, +0-447.212477465j"),
+])
+def test_classify_prints_the_classifier_roots(delta, chi, line):
+    code, text = run_cli(["classify", "--delta", delta, "--chi", chi])
+    assert code == cli.EXIT_OK
+    assert text.splitlines()[1] == f"eigenfrequencies: {line}"
+
+
 def test_threshold_matches_library_call():
     code, text = run_cli(
         ["threshold", "--delta-c", "0", "--chi", "1",
@@ -248,6 +261,27 @@ def test_oracle_compare_pass():
     assert doc["status"] == "PASS"
     assert doc["errors"]["max_occupation_rel"] < 1e-6
     assert doc["errors"]["max_g2_abs"] < 1e-4
+
+
+def test_oracle_compare_passes_at_zero_coupling(monkeypatch):
+    # from the vacuum at chi=0 nothing is occupied: both sides agree
+    argv = ["oracle-compare", "--delta", "1", "--chi", "0", "--times", "0.5,1", "--json"]
+    code, text = run_cli(argv)
+    assert code == cli.EXIT_OK
+    assert json.loads(text)["status"] == "PASS"
+
+    # occupations at roundoff, below OCCUPATION_THRESHOLD, are compared as a
+    # difference on that floor, not relative to themselves
+    def roundoff_oracle(params, init, times, cfg):
+        return [CorrelationRecord(t, 1e-20, 3e-20, None, None, None, None, None)
+                for t in times], cfg or FockConfig()
+
+    monkeypatch.setattr(cli, "oracle_records", roundoff_oracle)
+    code, text = run_cli(argv)
+    assert code == cli.EXIT_OK
+    doc = json.loads(text)
+    assert doc["status"] == "PASS"
+    assert doc["errors"]["max_occupation_rel"] == pytest.approx(3e-20 / OCCUPATION_THRESHOLD)
 
 
 def test_oracle_compare_truncation_inadequate():

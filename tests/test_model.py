@@ -13,8 +13,8 @@ from caosim import (
     Regime,
     ThresholdKind,
     build_generator,
+    characteristic_roots,
     classify_regime,
-    eigenfrequencies,
     green_function,
 )
 
@@ -86,7 +86,7 @@ def test_negative_chi_rejected():
 
 
 def test_eigenfrequencies_match_characteristic_polynomial_oracle():
-    freqs = np.sort_complex(eigenfrequencies(build_generator(ModelParams(1.0, 1.0))))
+    freqs = np.sort_complex(classify_regime(build_generator(ModelParams(1.0, 1.0))).frequencies)
     oracle = np.sort_complex(char_poly_roots(1.0, 1.0))
     assert_allclose(freqs, oracle, atol=1e-10)
     # the quartet for delta=1, chi=1 is {+-sqrt(3), +-i}
@@ -122,7 +122,7 @@ def test_regime_ii_rates():
 def test_regime_iii_rates():
     report = classify_regime(build_generator(ModelParams(-1.0, 1.0)))
     assert report.omega > 0 and report.gamma > 0
-    freqs = report.eigenfrequencies
+    freqs = report.frequencies
     assert_allclose(sorted(np.abs(freqs.real)), [report.omega] * 4, rtol=1e-9)
     assert_allclose(sorted(np.abs(freqs.imag)), [report.gamma] * 4, rtol=1e-9)
 
@@ -211,19 +211,38 @@ def test_regime_ii_rate_at_large_delta_equal_chi_squared(k):
 def test_decoupled_stable_spectrum():
     report = classify_regime(build_generator(ModelParams(2.0, 0.0)))
     assert_allclose(
-        np.sort(report.eigenfrequencies.real), [-2.0, -1.0, 1.0, 2.0], atol=1e-12
+        np.sort(report.frequencies.real), [-2.0, -1.0, 1.0, 2.0], atol=1e-12
     )
-    assert np.max(np.abs(report.eigenfrequencies.imag)) < 1e-12
+    assert np.max(np.abs(report.frequencies.imag)) < 1e-12
 
 
 def test_spectrum_closed_under_negated_conjugation():
     rng = np.random.default_rng(7)
     for _ in range(100):
         params = ModelParams(rng.uniform(-3, 3), rng.uniform(0, 2))
-        freqs = eigenfrequencies(build_generator(params))
+        freqs = classify_regime(build_generator(params)).frequencies
         mirrored = -np.conj(freqs)
         for w in freqs:
             assert np.min(np.abs(mirrored - w)) < 1e-8 * max(1.0, abs(w))
+
+
+@pytest.mark.parametrize("delta,chi", [(1.0, 1.0), (-1.0, 1.0), (2.0, 0.2), (0.0, 1.0),
+                                       (4.0, 1.0), (-3.0, 2.0 / math.sqrt(3.0))])
+def test_frequencies_are_square_roots_of_the_classifier_roots(delta, chi):
+    # +-sqrt(w1^2), +-sqrt(w2^2) of the roots that decide the regime; the list
+    # is closed under conjugation exactly, and regimes ii and iii read their
+    # rates from it
+    report = classify_regime(build_generator(ModelParams(delta, chi)))
+    w1sq, w2sq, _ = characteristic_roots(np.float64(delta), np.float64(chi))
+    assert report.roots == (complex(w1sq), complex(w2sq))
+    freqs = report.frequencies
+    assert_allclose(freqs**2, np.array(report.roots).repeat(2), rtol=1e-15, atol=1e-15)
+    assert np.array_equal(freqs[:2], -freqs[1::-1])
+    assert sorted(freqs.tolist(), key=str) == sorted(np.conj(freqs).tolist(), key=str)
+    if report.regime == Regime.SINGLE_EXPONENTIAL_II:
+        assert freqs[0] == report.omega and freqs[2] == 1j * report.gamma
+    if report.regime == Regime.BEATING_EXPONENTIAL_III:
+        assert freqs[0] == complex(report.omega, report.gamma)
 
 
 def test_label_invariant_under_tolerance():
@@ -246,7 +265,7 @@ def test_label_invariant_under_tolerance():
 
 def test_chi_zero_spectrum_exact():
     for delta in (2.0, -2.7, 0.4):
-        freqs = eigenfrequencies(build_generator(ModelParams(delta, 0.0)))
+        freqs = classify_regime(build_generator(ModelParams(delta, 0.0))).frequencies
         expected = sorted([1.0, -1.0, delta, -delta])
         assert_allclose(np.sort(freqs.real), expected, atol=1e-14)
         report = classify_regime(build_generator(ModelParams(delta, 0.0)))
