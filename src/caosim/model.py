@@ -89,12 +89,14 @@ class RegimeReport:
     """The spectrum of M together with the stability classification.
 
     ``roots`` are the two roots w^2 of the characteristic polynomial (see
-    :func:`characteristic_roots`), the larger first; ``omega`` (oscillation
+    :func:`characteristic_roots`), the larger first, as numpy scalars: long
+    double where they were taken in it, so that w1^2 = delta^2 past the
+    range of doubles (delta > 1.34e154) keeps its value; ``omega`` (oscillation
     frequency) and ``gamma`` (growth rate) are set for the unstable regimes
     ii and iii; ``threshold_kind`` is set for regime iv.
     """
 
-    roots: tuple[complex, complex]
+    roots: tuple
     regime: Regime
     omega: float | None = None
     gamma: float | None = None
@@ -110,8 +112,15 @@ class RegimeReport:
         +-i sqrt|w^2|, and complex roots (regime iii) are a conjugate pair,
         so conjugation swaps the first pair with the second.
         """
-        w1, w2 = (cmath.sqrt(w) for w in self.roots)
+        w1, w2 = map(_principal_sqrt, self.roots)
         return np.array([w1, -w1, w2, -w2]) + 0.0  # + 0.0: no signed zeros
+
+
+def _principal_sqrt(w) -> complex:
+    """The principal square root of ``w``; of a root past the range of
+    doubles it is taken in long double, since the square root is in range."""
+    z = complex(w)
+    return cmath.sqrt(z) if cmath.isfinite(z) else complex(np.sqrt(np.clongdouble(w)))
 
 
 def build_generator(params: ModelParams) -> DriftGenerator:
@@ -185,9 +194,10 @@ def classify_regime(gen: DriftGenerator, tol: float = 1e-9) -> RegimeReport:
 
     ``roots`` are the two roots w^2 from :func:`characteristic_roots`, which
     the propagator uses too; where chi^2 or D pass the range of doubles they
-    are taken in long double. A root past the range of doubles (w1^2 at
-    delta > 1.34e154), or an intermediate of the threshold test past it (4
-    chi^2 off delta=0 at chi=1e154), raises FloatingPointError.
+    are taken in long double. Regimes i and iv need no root in doubles; rates
+    from a root past their range (w1^2 at delta > 1.34e154 in regime ii), or
+    an intermediate of the threshold test past it (4 chi^2 off delta=0 at
+    chi=1e154), raise FloatingPointError.
     """
     if not 0 < tol <= 1e-6:
         raise InvalidParameterError(
@@ -199,13 +209,13 @@ def classify_regime(gen: DriftGenerator, tol: float = 1e-9) -> RegimeReport:
         w1sq, w2sq, disc = characteristic_roots(d, chi)
     except FloatingPointError:  # chi^2 or D past the doubles, as at delta=0, chi=1e154
         w1sq, w2sq, disc = characteristic_roots(np.longdouble(d), np.longdouble(chi))
-    roots = (complex(w1sq), complex(w2sq))
-    if not all(map(cmath.isfinite, roots)):
-        raise FloatingPointError("the roots w^2 pass the range of doubles")
+    roots = (w1sq, w2sq)
     if kind is not None:
         return RegimeReport(roots, Regime.DEGENERATE_THRESHOLD_IV, threshold_kind=kind)
     if d > 4.0 * chi**2:  # both roots w^2 are positive
         return RegimeReport(roots, Regime.STABLE_I)
+    if not all(cmath.isfinite(complex(w)) for w in roots):
+        raise FloatingPointError("the roots w^2 pass the range of doubles")
     if d > 0.0:  # w2^2 = p / w1^2 < 0: no cancellation in gamma
         return RegimeReport(roots, Regime.SINGLE_EXPONENTIAL_II, math.sqrt(w1sq),
                             math.sqrt(-w2sq))

@@ -179,6 +179,8 @@ def test_classify_json_regimes():
     ("4", "1", "+4.12310562562+0j, -4.12310562562+0j, +0+0j, +0+0j"),
     ("0", "1e10", "+1+0j, -1+0j, +0+0j, +0+0j"),
     ("1", "1e5", "+447.214713533+0j, -447.214713533+0j, +0+447.212477465j, +0-447.212477465j"),
+    # w1^2 = 1e616 is past the doubles, its square root is not
+    ("1e308", "0", "+1e+308+0j, -1e+308+0j, +1+0j, -1+0j"),
 ])
 def test_classify_prints_the_classifier_roots(delta, chi, line):
     code, text = run_cli(["classify", "--delta", delta, "--chi", chi])
