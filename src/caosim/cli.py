@@ -38,12 +38,15 @@ from .errors import CaosimError, InvalidParameterError, TruncationError
 from .gaussian import OpticalInit, coherent_states, evolve, initial_state  # noqa: F401
 from .model import ModelParams, build_generator, classify_regime
 from .observables import (  # noqa: F401
+    MODES,
     OCCUPATION_THRESHOLD,
+    OK,
     CorrelationRecord,
     LongTimeWindows,
     correlation_record,
     evaluate,
     long_time_g2,
+    long_time_scan,
     threshold_g2,
 )
 from .propagator import green_function  # noqa: F401
@@ -73,14 +76,23 @@ EXIT_NUMERICAL = 3
 # table is formatted and written one block at a time.
 BLOCK = 256
 
+# Cells per long_time_scan pass. Each cell carries the whole ladder (8x9 or
+# 65 samples), about 13 kB of means, moments and records at a pass's peak,
+# so a pass of 16 cells holds about what a BLOCK of ``evolve`` rows does.
+# Passes of 48 cells, the largest benchmark sweep, raised the peak RSS of
+# repeated benchmark rounds by about 1.1 MB over the per-cell scan, and
+# passes of 16 cells by about 0.6 MB. Larger passes cost less per cell
+# (about 30 against 60 us at 64 cells), which only a large sweep notices.
+LONGTIME_BLOCK = 16
+
 # Most rows of one table (``evolve`` steps, ``sweep`` cells): 100x the
 # largest benchmark table (10000 steps). A fixed-sweep row peaks at about
-# 240 B in CSV (its record cell and its float-table row; the text is made
-# ``BLOCK`` rows at a time) and about 1.3 kB with --json (its Python row as
-# well), by tracemalloc over a 10^5-row sweep written to a file. So a table
-# at the cap needs about 0.25 GB, or 1.3 GB as JSON; a larger count is a
-# usage error before any array is built, not a failed allocation or a full
-# memory.
+# 240 B, in CSV and with --json alike (its record cell and its float-table
+# row; the text is made ``BLOCK`` rows at a time), and a longtime-sweep row
+# at about 80 B (its float-table rows; the scan is made ``LONGTIME_BLOCK``
+# cells at a time), by tracemalloc over a 10^5-row sweep written to a file.
+# So a table at the cap needs about 0.25 GB; a larger count is a usage error
+# before any array is built, not a failed allocation or a full memory.
 MAX_ROWS = 10**6
 
 # Figure presets: captioned parameters baked in. The phases behind the 3b/3c
@@ -116,15 +128,28 @@ def _emit_csv(out, header, table, footer_comments=()):
         out.write(f"# {comment}\n")
 
 
-def _json_rows(table) -> list:
-    """The rows of ``table`` as lists, with None (JSON null) for NaN."""
-    return [[None if math.isnan(v) else v for v in row] for row in table.tolist()]
-
-
 def _emit_json(out, command, payload):
-    doc = {"schema_version": SCHEMA_VERSION, "command": command}
-    doc.update(payload)
-    out.write(json.dumps(doc, indent=2, default=_json_default) + "\n")
+    """Write one ``json.dumps(..., indent=2)`` object. A float array ``rows``
+    is written ``BLOCK`` rows per write, in the bytes its rows as lists would
+    give: ``%r`` of a float is its JSON number, NaN becomes ``null`` and
+    ``inf`` ``Infinity``."""
+    doc = {"schema_version": SCHEMA_VERSION, "command": command, **payload}
+    table = doc.get("rows")
+    if table is not None:
+        doc["rows"] = []
+    text = json.dumps(doc, indent=2, default=_json_default) + "\n"
+    if table is None or not len(table):
+        out.write(text)
+        return
+    # a quote inside a JSON string is escaped, so this is the key
+    head, tail = text.split('"rows": []', 1)
+    out.write(head + '"rows": [')
+    row = "\n    [\n" + ",\n".join(["      %r"] * table.shape[1]) + "\n    ]"
+    for start in range(0, len(table), BLOCK):
+        block = table[start:start + BLOCK]
+        text = ",".join([row] * len(block)) % tuple(block.ravel().tolist())
+        out.write("," * (start > 0) + text.replace("nan", "null").replace("inf", "Infinity"))
+    out.write("\n  ]" + tail)
 
 
 def _json_default(obj):
@@ -289,7 +314,7 @@ def _emit_table(args, out, command, params, header, table, overflow):
     footer = [] if overflow is None else [f"overflow at t={_fmt(overflow)}"]
     if args.json:
         _emit_json(out, command, {**params, "columns": header,
-                                  "rows": _json_rows(table),
+                                  "rows": table,
                                   "overflow": footer[0] if footer else None})
     else:
         _emit_csv(out, header, table, footer)
@@ -356,22 +381,27 @@ def cmd_sweep(args, out):
     else:
         # The regime, the window ladder, G(t) over it and the vacuum
         # fluctuation moments are the same for every cell: they are computed
-        # once, here, and shared. A stable regime fails here, before any
-        # row. Each cell still makes its own long_time_g2 call, one
-        # evaluation over the ladder, which raises when the cell is left empty.
-        # The bounds columns have no long-time value and stay empty.
+        # once, here. A stable regime fails here, before any row. One
+        # long_time_scan per LONGTIME_BLOCK cells, all three modes in one
+        # pass, gives the rest; a cell that it leaves empty has a reason
+        # code. The bounds columns have no long-time value and stay empty.
         windows = LongTimeWindows(params)
         table = _table([alpha2s[:, None], phis, *[math.nan] * 5])
-        seeds = ((amp, phi) for amp in amps.tolist() for phi in phis.tolist())
-        for row, (amp, phi) in zip(table, seeds):
-            try:  # one walk of long-time windows for all three modes
-                limits = long_time_g2(params, OpticalInit(amp, phi),
-                                      ("atomic", "optical", "cross"),
-                                      windows=windows)
-            except CaosimError:
-                continue
+        seeds = _table([amps[:, None], phis])
+        for start in range(0, len(table), LONGTIME_BLOCK):
+            amp, phi = seeds[start:start + LONGTIME_BLOCK].T
+            scan = long_time_scan(windows, amp, phi)
             # beating regime: the oscillation means
-            row[2:5] = limits if isinstance(limits, np.ndarray) else limits.mean
+            table[start:start + LONGTIME_BLOCK, 2:5] = scan.values
+            # The benchmark's tie, to go with ROADMAP item 1: bench/measure.py
+            # --trace 1 counts the errors that cli.long_time_g2 raises as the
+            # empty cells, so each empty cell is called once more on its own.
+            for cell in np.flatnonzero(scan.reason != OK).tolist():
+                try:
+                    long_time_g2(params, OpticalInit(amp[cell], phi[cell]), MODES,
+                                 windows=windows)
+                except CaosimError:
+                    pass
     return _emit_table(args, out, "sweep", {
         "delta": args.delta,
         "chi": args.chi,
@@ -481,7 +511,7 @@ def cmd_oracle_compare(args, out):
                 "status": status,
                 "errors": errors,
                 "columns": header,
-                "rows": _json_rows(table),
+                "rows": table,
                 "comments": comments,
             },
         )

@@ -15,12 +15,15 @@ NaN where a correlator is undefined; :func:`correlation_record` is its view
 of one unbatched state, with ``None`` there instead. :func:`evaluate` takes a
 seed through a stack of times to its records, and finds the first overflow.
 
-:func:`long_time_g2` scans a fixed ladder of time windows for the first in
-which a correlator settles. The generator, its regime, the ladder and the
-G(t) stack over it with the vacuum fluctuation moments evolved through it do
-not depend on the seed: a :class:`LongTimeWindows` computes them once, at
-construction. A sweep builds one and passes it to every cell, and a single
-call builds its own; either way each call makes one :func:`evaluate`.
+:func:`long_time_scan` scans a fixed ladder of time windows for the first in
+which each correlator settles, for a whole grid of seeds at once. The
+generator, its regime, the ladder and the G(t) stack over it with the vacuum
+fluctuation moments evolved through it do not depend on the seed: a
+:class:`LongTimeWindows` computes them once, at construction. The means of
+the seeds, which enter elementwise, go through the ladder in one broadcast
+and one :func:`records` call; the scan is then array reductions, with one
+reason code per cell. :func:`long_time_g2` is its view of one seed, raising
+the error of a cell that the scan leaves empty.
 """
 
 from __future__ import annotations
@@ -31,11 +34,14 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import (
+    CaosimError,
     InvalidParameterError,
     NonConvergenceError,
     UndefinedCorrelationError,
 )
-from .gaussian import (
+# initial_state and green_function are unused here but stay importable:
+# bench/tracer.py wraps observables.initial_state and .green_function by name.
+from .gaussian import (  # noqa: F401
     ATOM,
     ATOM_DAG,
     LIGHT,
@@ -49,8 +55,6 @@ from .gaussian import (
     occupation,
 )
 from .model import ModelParams, Regime, ThresholdKind, build_generator, classify_regime
-# green_function is unused here but stays importable: bench/tracer.py wraps
-# observables.green_function by name.
 from .propagator import green_function, green_stack  # noqa: F401
 
 #: Occupations below this are treated as zero, making normalized correlators 0/0.
@@ -62,6 +66,11 @@ IMAG_RESIDUE_RTOL = 1e-10
 
 #: The record field that each long_time_g2 mode extracts.
 _MODE_FIELDS = {"atomic": "g11", "optical": "g33", "cross": "g13"}
+MODES = tuple(_MODE_FIELDS)
+
+#: The reason code of each cell of a :func:`long_time_scan`: it has its values,
+#: its moments overflow, a correlator is 0/0, or a mode never converges.
+OK, OVERFLOW, UNDEFINED, NO_CONVERGENCE = range(4)
 
 
 @dataclass(frozen=True)
@@ -138,8 +147,22 @@ def correlation_record(
     return CorrelationRecord(t, *(None if math.isnan(v) else v for v in values))
 
 
-def evaluate(gen, s0: GaussianState, times, window=None
-             ) -> tuple[CorrelationRecord, int]:
+def _overflows(rec: CorrelationRecord) -> np.ndarray:
+    """Where the moments of ``rec`` pass the range of doubles: an occupation
+    is not finite, or a correlator is not finite although the occupations it
+    is normalized by are defined. A true 0/0 stays NaN and is no overflow."""
+    n1, n3 = rec.n1 > OCCUPATION_THRESHOLD, rec.n3 > OCCUPATION_THRESHOLD
+    return (~(np.isfinite(rec.n1) & np.isfinite(rec.n3))
+            | (n1 & ~np.isfinite(rec.g11)) | (n3 & ~np.isfinite(rec.g33))
+            | (n1 & n3 & ~np.isfinite(rec.g13)))
+
+
+def _first(mask) -> np.ndarray:
+    """The index of the first true entry along the last axis, or its length."""
+    return np.where(mask.any(-1), mask.argmax(-1), mask.shape[-1])
+
+
+def evaluate(gen, s0: GaussianState, times) -> tuple[CorrelationRecord, int]:
     """The records of ``s0`` at ``times``, from one propagator stack and one
     batched record, and ``stop``, the number of cells before the first
     overflow.
@@ -147,27 +170,13 @@ def evaluate(gen, s0: GaussianState, times, window=None
     The fields broadcast the batch axes of ``s0`` against the shape of
     ``times``; ``stop`` counts their cells in C order. A cell overflows when
     its G(t) is over the entry cap, or when its moments pass the range of
-    doubles: an occupation is not finite, or a correlator is not finite
-    although the occupations it is normalized by are defined. A true 0/0
-    stays NaN and is no overflow.
-
-    ``window``, a ``(G, S)`` pair for ``gen`` and ``times`` such as
-    :attr:`LongTimeWindows.ladder`, stands in for the stack and the second
-    moments computed here; ``s0`` must then hold vacuum fluctuations, as
-    every initial state does.
+    doubles.
     """
-    if window is None:
-        window = green_stack(gen, times, strict=False), None  # a slice over the cap is NaN
-    g, smat = window
+    g = green_stack(gen, times, strict=False)  # a slice over the cap is NaN
     with np.errstate(over="ignore", invalid="ignore"):
-        rec = records(evolve(s0, g, smat), g.t)
-        n1, n3 = rec.n1 > OCCUPATION_THRESHOLD, rec.n3 > OCCUPATION_THRESHOLD
-        over = np.ravel(
-            ~(np.isfinite(rec.n1) & np.isfinite(rec.n3))
-            | (n1 & ~np.isfinite(rec.g11)) | (n3 & ~np.isfinite(rec.g33))
-            | (n1 & n3 & ~np.isfinite(rec.g13))
-        )
-    return rec, int(np.argmax(over)) if over.any() else over.size
+        rec = records(evolve(s0, g), g.t)
+        over = np.ravel(_overflows(rec))
+    return rec, int(_first(over))
 
 
 def threshold_g2(
@@ -269,16 +278,142 @@ class LongTimeWindows:
         self.ladder = g, evolve(coherent_states(0.0, 0.0), g).smat
 
 
+@dataclass(frozen=True)
+class LongTimeScan:
+    """The long-time values of a grid of seeds, with one reason per cell.
+
+    ``values[..., j]`` is the value of ``modes[j]``: its converged window
+    mean in regimes ii and iv, its oscillation mean in regime iii, where
+    ``minimum`` and ``maximum`` hold the oscillation's extremes (None
+    elsewhere). Each is NaN in a cell whose ``reason`` is not ``OK``. The
+    other fields say what the error of such a cell reports: ``mode``, the
+    index of the mode it names; ``t_overflow``, the time of its first
+    overflowing sample; ``occupation``, the occupation at its first 0/0
+    sample; ``last``, the (mean, spread, t) of the named mode's window before
+    the one the cell failed in, NaN when it failed in the first.
+    """
+
+    modes: tuple
+    values: np.ndarray
+    minimum: np.ndarray | None
+    maximum: np.ndarray | None
+    reason: np.ndarray
+    mode: np.ndarray
+    t_overflow: np.ndarray
+    occupation: np.ndarray
+    last: np.ndarray
+
+    def error(self, index=()) -> CaosimError | None:
+        """The error that :func:`long_time_g2` raises for the cell at
+        ``index``, or None when the cell has its values."""
+        reason = self.reason[index]
+        if reason == OK:
+            return None
+        mode = self.modes[self.mode[index]]
+        if reason == UNDEFINED:
+            return UndefinedCorrelationError(
+                f"g2 {mode}", float(self.occupation[index]), OCCUPATION_THRESHOLD)
+        last = tuple(self.last[index].tolist())
+        if reason == NO_CONVERGENCE:
+            return NonConvergenceError(f"no convergence up to t_max={_T_MAX}",
+                                       last_window=last)
+        return NonConvergenceError(
+            f"moments overflow at t={float(self.t_overflow[index])} before convergence",
+            last_window=None if math.isnan(last[2]) else last,
+        )
+
+
+def long_time_scan(windows: LongTimeWindows, amps, phis, modes=MODES) -> LongTimeScan:
+    """The long-time scan of every seed ``(amps, phis)``, which broadcast
+    together, in one array pass over the ladder of ``windows``.
+
+    The means of every seed go through the ladder in one broadcast, and one
+    :func:`records` call gives every sample. The scan of each cell is then a
+    set of array reductions, with the rules of a walk through the windows in
+    order:
+
+    - a window's mean, min, max and spread are taken along its samples;
+    - a mode converges in regime ii when the spread of a window is below
+      1e-6 of its mean, and in regime iv when a window mean moves by at most
+      1e-3 from the one before; in regime iii its one window is its value;
+    - each mode is frozen at its own first converged window, and a cell has
+      its values once every mode is;
+    - before that, an overflow in a window the cell reaches, and then a 0/0
+      of a mode that has not converged before that window, end the cell.
+    """
+    amps, phis = np.broadcast_arrays(amps, phis)
+    shape = amps.shape
+    g, smat = windows.ladder
+    nw, ns = windows.times.shape
+    cells = np.arange(amps.size)
+    s0 = coherent_states(amps.reshape(-1, 1, 1, 1), phis.reshape(-1, 1, 1, 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        # (cells, W, S, 1, 4) means against the (W, S) ladder, then one record
+        mean = evolve(s0, g, smat).mean[..., 0, :]
+        rec = records(GaussianState(mean, smat), g.t)
+        over = _overflows(rec).reshape(cells.size, nw * ns)
+        # (cells, modes, W, S): a window's samples along the contiguous last axis
+        samples = np.stack([getattr(rec, _MODE_FIELDS[m]) for m in modes], 1)
+        means = samples.mean(-1)
+        low, high = samples.min(-1), samples.max(-1)
+        spread = (high - low) / np.maximum(abs(means), 1e-300)
+        regime = windows.report.regime
+        if regime == Regime.BEATING_EXPONENTIAL_III:
+            converged = np.ones(means.shape, bool)
+        elif regime == Regime.SINGLE_EXPONENTIAL_II:
+            converged = spread < _RTOL
+        else:  # regime iv: oscillations decay slowly, compare window means
+            converged = np.zeros(means.shape, bool)
+            converged[..., 1:] = abs(means[..., 1:] - means[..., :-1]) <= (
+                _RTOL_THRESHOLD * abs(means[..., 1:]))
+    done = _first(converged)  # (cells, modes): nw where a mode never converges
+    undefined = np.isnan(samples).any(-1) & (np.arange(nw) <= done[..., None])
+    first_over = over.argmax(-1)
+    fault_over = np.where(over.any(-1), first_over // ns, nw)
+    fault_undefined = _first(undefined).min(-1)
+    # the window each cell stops in: nw when no mode fails and one never converges
+    stop = np.minimum(fault_over, np.minimum(fault_undefined, done.max(-1)))
+    reason = np.select([stop == nw, stop == fault_over, stop == fault_undefined],
+                       [NO_CONVERGENCE, OVERFLOW, UNDEFINED], OK)
+    k = np.minimum(stop, nw - 1)
+    # the named mode: the first pending one, and the first 0/0 one for UNDEFINED
+    named = _first((done >= stop[:, None])
+                   & (undefined[cells, :, k] | (reason != UNDEFINED)[:, None]))
+    n1, n3 = (x[cells, k, np.isnan(samples[cells, named, k]).argmax(-1)]
+              for x in (rec.n1, rec.n3))
+    kind = np.array([MODES.index(m) for m in modes])[named]
+    occupation = np.choose(kind, [n1, n3, np.minimum(n1, n3)])
+    before = np.maximum(stop - 1, 0)
+    last = np.stack([means[cells, named, before], spread[cells, named, before],
+                     windows.times[before, 0]], -1)
+    last[stop == 0] = math.nan
+    ok = (reason == OK)[:, None]
+
+    def per_cell(x, *tail):
+        return np.where(ok, x, math.nan).reshape(shape + tail)
+
+    values = np.take_along_axis(means, np.minimum(done, nw - 1)[..., None], -1)[..., 0]
+    iii = regime == Regime.BEATING_EXPONENTIAL_III
+    return LongTimeScan(
+        modes, per_cell(values, len(modes)),
+        per_cell(low[..., 0], len(modes)) if iii else None,
+        per_cell(high[..., 0], len(modes)) if iii else None,
+        reason.reshape(shape), named.reshape(shape),
+        windows.times.ravel()[first_over].reshape(shape), occupation.reshape(shape),
+        last.reshape(shape + (3,)),
+    )
+
+
 def long_time_g2(params: ModelParams, init: OpticalInit, mode="atomic", *,
                  windows: LongTimeWindows | None = None):
     """Long-time value of a correlation in the unstable regimes.
 
     Returns a converged scalar in regimes ii and iv, and an
-    :class:`OscillationSummary` in regime iii. One :func:`evaluate` covers
-    the whole ladder of ``windows``, which are then scanned in order. In
-    each window an overflow is a :class:`NonConvergenceError` that carries
-    the statistics of the window before, then a pending mode that is 0/0
-    is an :class:`UndefinedCorrelationError`. For a tuple of modes the
+    :class:`OscillationSummary` in regime iii. This is the one-cell view of
+    :func:`long_time_scan`: a cell that the scan leaves empty raises its
+    error, a :class:`NonConvergenceError` that carries the statistics of the
+    window before for an overflow or a scan that never converges, and an
+    :class:`UndefinedCorrelationError` for a 0/0. For a tuple of modes the
     values are arrays; each mode is frozen at its own first converged
     window and is checked for 0/0 only until then, so it gets the value,
     or the error, of its own call.
@@ -296,46 +431,13 @@ def long_time_g2(params: ModelParams, init: OpticalInit, mode="atomic", *,
         raise InvalidParameterError(
             f"windows of {windows.params} cannot serve a walk at {params}"
         )
-    regime = windows.report.regime
+    scan = long_time_scan(windows, init.amp, init.phase, modes)
+    if scan.reason != OK:
+        # raised unnamed: a local bound to it would make a reference cycle
+        # through its traceback, which holds this frame
+        raise scan.error()
     result = np.array if isinstance(mode, tuple) else (lambda values: values[0])
-    rec, stop = evaluate(windows.gen, initial_state(init), windows.times, windows.ladder)
-    samples = {m: getattr(rec, _MODE_FIELDS[m]) for m in modes}  # one row per window
-
-    limits = {}
-    last = dict.fromkeys(modes)  # (mean, spread, t) of each mode's last window
-    pending = list(last)
-    for k, t in enumerate(rec.t[:, 0].tolist()):
-        if stop < (k + 1) * rec.t.shape[1]:
-            raise NonConvergenceError(
-                f"moments overflow at t={float(rec.t.flat[stop])} before convergence",
-                last_window=last[pending[0]],
-            )
-        for m in pending:
-            undefined = np.isnan(samples[m][k])
-            if undefined.any():
-                n = {"atomic": rec.n1, "optical": rec.n3}.get(m, np.minimum(rec.n1, rec.n3))[k]
-                raise UndefinedCorrelationError(
-                    f"g2 {m}", float(n[undefined][0]), OCCUPATION_THRESHOLD
-                )
-        if regime == Regime.BEATING_EXPONENTIAL_III:
-            stats = ([float(f(samples[m][0])) for m in modes]
-                     for f in (np.min, np.max, np.mean))
-            return OscillationSummary(*map(result, stats), windows.period)
-        for m in pending:
-            values = samples[m][k]
-            mean = float(np.mean(values))
-            spread = float(values.max() - values.min()) / max(abs(mean), 1e-300)
-            if regime == Regime.SINGLE_EXPONENTIAL_II:
-                converged = spread < _RTOL
-            else:  # regime iv: oscillations decay slowly, compare window means
-                converged = last[m] is not None and abs(mean - last[m][0]) <= (
-                    _RTOL_THRESHOLD * abs(mean))
-            if converged:
-                limits[m] = mean
-            last[m] = (mean, spread, t)
-        pending = [m for m in pending if m not in limits]
-        if not pending:
-            return result([limits[m] for m in modes])
-    raise NonConvergenceError(
-        f"no convergence up to t_max={_T_MAX}", last_window=last[pending[0]]
-    )
+    if windows.period is not None:
+        stats = (scan.minimum.tolist(), scan.maximum.tolist(), scan.values.tolist())
+        return OscillationSummary(*map(result, stats), windows.period)
+    return result(scan.values.tolist())

@@ -4,6 +4,7 @@ Everything goes through ``cli.main`` with an in-memory stream so the tests
 see exactly the bytes a shell pipeline would.
 """
 
+import dataclasses
 import gc
 import io
 import json
@@ -12,6 +13,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -634,6 +636,17 @@ def long_time_outcome(call):
     return got.tolist()
 
 
+def scan_outcome(scan, period, index):
+    """The :func:`long_time_outcome` of one cell of a long-time scan."""
+    error = scan.error(index)
+    if error is not None:
+        return type(error), str(error), getattr(error, "last_window", None)
+    if period is not None:
+        return [scan.minimum[index].tolist(), scan.maximum[index].tolist(),
+                scan.values[index].tolist(), period]
+    return scan.values[index].tolist()
+
+
 @pytest.mark.parametrize(
     "delta, chi, grid, outcomes",
     [
@@ -654,29 +667,108 @@ def long_time_outcome(call):
 )
 def test_longtime_sweep_cells_equal_standalone_calls(monkeypatch, delta, chi, grid,
                                                      outcomes):
-    cells = []
+    passes = []
 
-    def spy(*args, **kwargs):
-        cells.append((args, kwargs))
-        return long_time_g2(*args, **kwargs)
+    def spy(windows, amps, phis):
+        passes.append((windows, amps, phis, scan(windows, amps, phis)))
+        return passes[-1][-1]
 
-    monkeypatch.setattr(cli, "long_time_g2", spy)
-    code, _ = run_cli(longtime_argv(delta, chi, *grid))
+    scan = cli.long_time_scan
+    monkeypatch.setattr(cli, "long_time_scan", spy)
+    code, text = run_cli(longtime_argv(delta, chi, *grid))
     assert code == cli.EXIT_OK
-    assert len(cells) == grid[2] * grid[3]
-    # one walk for the whole sweep, passed to every cell
-    walks = {id(kwargs["windows"]) for _, kwargs in cells}
-    assert len(walks) == 1 and cells[0][1]["windows"] is not None
-    # replayed in sweep order on one shared walk, each cell gives what a
-    # standalone call (a private walk) gives: the same bits or the same error
-    shared = observables.LongTimeWindows(ModelParams(delta, chi))
+    # one pass per block of cells, all on one walk shared by the sweep
+    size, block = grid[2] * grid[3], cli.LONGTIME_BLOCK
+    assert [p[1].size for p in passes] == [min(block, size - start)
+                                          for start in range(0, size, block)]
+    assert len({id(p[0]) for p in passes}) == 1
+    _, rows, _ = parse_csv(text)
+    # replayed in sweep order, each cell gives what a standalone call (a
+    # private walk) gives: the same bits or the same error, and so does a
+    # call on one shared walk
+    params = ModelParams(delta, chi)
+    shared = observables.LongTimeWindows(params)
+    cells = [(windows.period, got, i, amp, phi) for windows, amps, phis, got in passes
+             for i, (amp, phi) in enumerate(zip(amps.tolist(), phis.tolist()))]
     seen = set()
-    for (params, init, modes), _ in cells:
-        alone = long_time_outcome(lambda: long_time_g2(params, init, modes))
+    for row, (period, got, i, amp, phi) in zip(rows, cells, strict=True):
+        init = OpticalInit(amp, phi)
+        alone = long_time_outcome(lambda: long_time_g2(params, init, LONGTIME_MODES))
+        assert scan_outcome(got, period, i) == alone
         assert long_time_outcome(
-            lambda: long_time_g2(params, init, modes, windows=shared)) == alone
+            lambda: long_time_g2(params, init, LONGTIME_MODES, windows=shared)) == alone
+        assert [float(v) if v else None for v in row[2:5]] == (
+            [None] * 3 if isinstance(alone, tuple) else alone[2] if period else alone)
         seen.add(alone[0] if isinstance(alone, tuple) else "ok")
     assert seen == outcomes
+
+
+# (delta, chi, alpha2 range) of the grids a sweep pass is drawn on
+LONGTIME_GRIDS = [
+    (1.0, 1.0, 0.0, 9.0),  # regime ii
+    (-1.0, 1.0, 0.0, 9.0),  # regime iii
+    (0.0, 1.0, 0.0, 9.0),
+    (4.0, 1.0, 8.0, 10.0),  # some cells converge only in late windows
+    (-3.0, 2.0 / math.sqrt(3.0), 1.0, 9.0),  # some cells never converge
+    (1.0, 1.0, 0.0, 1e150),  # rows whose moments overflow
+    (0.0, 1e-8, 0.0, 0.0),  # every cell 0/0
+]
+
+
+@st.composite
+def longtime_grids(draw):
+    delta, chi, lo, hi = draw(st.sampled_from(LONGTIME_GRIDS))
+    a_lo, a_hi = sorted(draw(st.floats(lo, hi)) for _ in range(2))
+    return delta, chi, a_lo, a_hi, draw(st.integers(1, 4)), draw(st.integers(1, 9))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=12)
+@given(grid=longtime_grids(), block=st.sampled_from([5, cli.LONGTIME_BLOCK]))
+@example(grid=(1.0, 1.0, 0.0, 1e150, 2, 3), block=5)
+@example(grid=(-3.0, 2.0 / math.sqrt(3.0), 1.0, 9.0, 4, 9), block=cli.LONGTIME_BLOCK)
+def test_longtime_sweep_pass_equals_one_cell_view(grid, block):
+    # each cell of a sweep's blocked passes is what long_time_g2 gives on that
+    # cell alone: the same values, or the same error
+    delta, chi, *cells = grid
+    passes = []
+
+    def spy(windows, amps, phis):
+        passes.append((windows, amps, phis, scan(windows, amps, phis)))
+        return passes[-1][-1]
+
+    scan = cli.long_time_scan
+    with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        patch.setattr(cli, "LONGTIME_BLOCK", block)
+        patch.setattr(cli, "long_time_scan", spy)
+        code, _ = run_cli(longtime_argv(delta, chi, *cells))
+    assert code == cli.EXIT_OK
+    size = cells[2] * cells[3]
+    assert [p[1].size for p in passes] == [min(block, size - start)
+                                          for start in range(0, size, block)]
+    params = ModelParams(delta, chi)
+    for windows, amps, phis, got in passes:
+        for i, (amp, phi) in enumerate(zip(amps.tolist(), phis.tolist())):
+            alone = long_time_outcome(lambda: long_time_g2(
+                params, OpticalInit(amp, phi), LONGTIME_MODES, windows=windows))
+            assert scan_outcome(got, windows.period, i) == alone
+
+
+def test_longtime_sweep_memory_is_bounded_by_blocks(tmp_path):
+    # one long_time_scan per cli.LONGTIME_BLOCK cells: a 40x64 sweep peaks
+    # at about 200 B per cell, one pass per cli.BLOCK cells at about 1.4 kB,
+    # and one pass over the whole grid at about 13 kB
+    argv = longtime_argv(1.0, 1.0, 0.0, 9.0, 40, 64)
+    run_cli(argv)
+    with open(tmp_path / "sweep.csv", "w") as out:
+        tracemalloc.start()
+        try:
+            code = cli.main(argv, out=out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == cli.EXIT_OK
+    assert peak <= 600 * 40 * 64
 
 
 def test_long_time_windows_serve_only_their_parameters():
@@ -748,6 +840,24 @@ def test_csv_writer_matches_per_cell_formatting(nrows, ncols):
     assert out.getvalue() == csv_by_cell(header, table.tolist(), footer)
 
 
+@pytest.mark.parametrize("ncols", [1, 9])
+@pytest.mark.parametrize("nrows", [0, 1, cli.BLOCK, cli.BLOCK + 1, 2 * cli.BLOCK + 3])
+def test_json_writer_matches_json_dumps(nrows, ncols):
+    rng = np.random.default_rng([nrows, ncols, 1])
+    table = rng.choice([-1.0, 1.0], (nrows, ncols)) * 10.0 ** rng.uniform(
+        -300.0, 300.0, (nrows, ncols))
+    picked = rng.random(table.shape) < 0.2
+    table[picked] = rng.choice(WRITER_VALUES, np.count_nonzero(picked))
+    payload = {"columns": [f"c{i}" for i in range(ncols)], "overflow": None}
+    out = io.StringIO()
+    cli._emit_json(out, "sweep", {"delta": 1.0, **payload, "rows": table,
+                                  "comments": ['"rows": []']})
+    rows = [[None if math.isnan(v) else v for v in row] for row in table.tolist()]
+    doc = {"schema_version": cli.SCHEMA_VERSION, "command": "sweep", "delta": 1.0,
+           **payload, "rows": rows, "comments": ['"rows": []']}
+    assert out.getvalue() == json.dumps(doc, indent=2) + "\n"
+
+
 def reject_constant(name):
     raise ValueError(f"{name} is not strict JSON")
 
@@ -774,7 +884,14 @@ def test_every_nan_is_an_empty_field_and_a_json_null(monkeypatch, argv, limits):
     # limit that is NaN, the long-time bounds columns). No table prints
     # ``nan``, and --json output is strict JSON.
     if limits is not None:
-        monkeypatch.setattr(cli, "long_time_g2", lambda *args, **kw: np.array(limits))
+        scan = cli.long_time_scan
+
+        def scan_with_limits(*args):
+            got = scan(*args)
+            return dataclasses.replace(
+                got, values=np.broadcast_to(limits, got.values.shape))
+
+        monkeypatch.setattr(cli, "long_time_scan", scan_with_limits)
     code, text = run_cli(argv)
     json_code, json_text = run_cli(argv + ["--json"])
     assert code == json_code
@@ -799,11 +916,12 @@ def test_every_nan_is_an_empty_field_and_a_json_null(monkeypatch, argv, limits):
         ["sweep", "--delta", "1", "--chi", "1", "--alpha2-count", "2",
          "--phi-count", "2"],
         longtime_argv(1.0, 1.0, 0.0, 9.0, 2, 2),
+        longtime_argv(0.0, 1e-8, 0.0, 0.0, 1, 2),
         ["threshold", "--delta-c", "0", "--chi", "1", "--alpha2", "4"],
         ["oracle-compare", "--delta", "2", "--chi", "0.3", "--times", "0.5"],
     ],
-    ids=["classify", "evolve", "sweep-fixed", "sweep-longtime", "threshold",
-         "oracle-compare"],
+    ids=["classify", "evolve", "sweep-fixed", "sweep-longtime",
+         "sweep-longtime-empty", "threshold", "oracle-compare"],
 )
 def test_main_leaves_no_cyclic_garbage(argv):
     # the parser is built once per process: a parser per call left its

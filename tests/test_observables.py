@@ -29,7 +29,7 @@ from caosim import (
     verify_propagator,
 )
 from caosim import observables
-from caosim.observables import evaluate
+from caosim.observables import evaluate, records
 from tests.test_gaussian import VACUUM_SMAT, atomic_zero_mean_state
 
 
@@ -234,11 +234,11 @@ def test_long_time_modes_share_windows(monkeypatch, delta, chi, init):
     params = ModelParams(delta, chi)
     evaluations = []
 
-    def evaluate_counted(*args):
+    def records_counted(*args):
         evaluations[-1] += 1
-        return evaluate(*args)
+        return records(*args)
 
-    monkeypatch.setattr(observables, "evaluate", evaluate_counted)
+    monkeypatch.setattr(observables, "records", records_counted)
 
     def walk(mode):
         evaluations.append(0)
@@ -246,7 +246,7 @@ def test_long_time_modes_share_windows(monkeypatch, delta, chi, init):
 
     singles = [walk(m) for m in MODES]
     got = walk(MODES)
-    # one evaluation over the whole ladder serves one mode or every mode
+    # one records call over the whole ladder serves one mode or every mode
     assert evaluations == [1, 1, 1, 1]
     errors = [e for e in singles if isinstance(e, CaosimError)]
 
@@ -390,6 +390,19 @@ def test_long_time_scan_equals_window_by_window_walk(monkeypatch, delta, chi, in
             want = _comparable(lambda: walk_reference(params, init, modes))
             mode = modes if len(modes) > 1 else modes[0]
             assert _comparable(lambda: long_time_g2(params, init, mode)) == want
+
+
+@pytest.mark.parametrize("delta, chi", [(-3.0, CHI_NEGATIVE_SURFACE), (-1.0, 1.0)])
+def test_long_time_scan_keeps_the_grid_shape(delta, chi):
+    # a (2, 3) grid of seeds gives (2, 3) cells, each as its flat cell gives it
+    windows = observables.LongTimeWindows(ModelParams(delta, chi))
+    amps, phis = np.array([[1.0], [3.0]]), np.array([0.25, 0.75, 1.5]) * math.pi
+    grid = observables.long_time_scan(windows, amps, phis)
+    flat = observables.long_time_scan(windows, np.repeat(amps, 3), np.tile(phis, 2))
+    assert grid.values.shape == (2, 3, 3) and grid.reason.shape == (2, 3)
+    for name in ("values", "minimum", "maximum", "reason", "mode", "last"):
+        got, want = getattr(grid, name), getattr(flat, name)
+        assert (got is None and want is None) or got.tobytes() == want.tobytes()
 
 
 def test_late_ladder_windows_past_the_cap_are_nan():

@@ -10,8 +10,10 @@ max|G| passes the entry cap, whichever comes first.
 Each point records the error of the Pade-13 scaling-and-squaring propagator
 that G(t) used before its closed form, measured once on this reference: the
 largest over the point's times of max|G - G_ref| / max(1, max|G_ref|), and inf
-where that propagator put a slice below the cap over it. The gate is
-max(2 * baseline, 1e-13) at every point.
+where that propagator put a slice below the cap over it. On delta = 4 chi^2
+and on the negative-delta surface that error is 0.15 or more, so there the
+baseline is the closed form's own error, measured once on this reference in
+the same way. The gate is max(2 * baseline, 1e-13) at every point.
 """
 
 import math
@@ -69,6 +71,16 @@ POINTS = [
 ]
 
 
+# The closed form's error at the points where the Pade error is no gate.
+CLOSED_FORM = {
+    (4.0, 1.0): 3.96e-16,
+    (0.36, 0.3): 1.25e-05,
+    (4e6, 1000.0): 3.08e-13,
+    (-3.0, _S3): 1.01e-04,
+    (-0.5, 0.2651650429449553): 4.27e-06,
+}
+
+
 def reference(delta, chi, digits=DIGITS):
     """Times and ladder-basis G(t) (complex128) of the reference at (delta, chi)."""
     times, stack = [], []
@@ -107,6 +119,7 @@ def test_green_stack_against_mpmath(label, delta, chi, baseline):
     times, ref = reference(delta, chi)
     assert times.size >= 16
     g = green_stack(build_generator(ModelParams(delta, chi)), times, strict=False).gmat
+    baseline = CLOSED_FORM.get((delta, chi), baseline)
     assert relative_error(g, ref) <= max(2.0 * baseline, FLOOR)
 
 
