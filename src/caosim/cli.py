@@ -26,6 +26,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 from typing import NamedTuple
 
@@ -36,7 +37,7 @@ from .errors import CaosimError, InvalidParameterError, TruncationError
 # importable: bench/tracer.py wraps them in cli by name. The Fock oracle is
 # not imported here: see ``__getattr__`` below.
 from .gaussian import OpticalInit, coherent_states, evolve, initial_state  # noqa: F401
-from .model import ModelParams, build_generator, classify_regime
+from .model import THRESHOLD_BAND, ModelParams, build_generator, classify_regime
 from .observables import (  # noqa: F401
     MODES,
     OCCUPATION_THRESHOLD,
@@ -303,8 +304,13 @@ def cmd_classify(args, out):
 def _table(columns, stop=None) -> np.ndarray:
     """The first ``stop`` rows (all by default), in C order, of a table whose
     columns broadcast together, as one float array; NaN is an empty cell."""
-    cells = np.stack(np.broadcast_arrays(*columns), -1).reshape(-1, len(columns))
-    return cells[:stop]
+    # filled by assignment, which broadcasts without views: numpy keeps some
+    # heap for each view that np.broadcast_arrays makes writeable
+    shape = np.broadcast_shapes(*map(np.shape, columns))
+    cells = np.empty(shape + (len(columns),))
+    for i, column in enumerate(columns):
+        cells[..., i] = column
+    return cells.reshape(-1, len(columns))[:stop]
 
 
 def _emit_table(args, out, command, params, header, table, overflow):
@@ -529,7 +535,7 @@ PRESET = Option("preset", tuple(sorted(PRESETS)), FLAG_ONLY)
 # subcommand: (help, handler, options in the order of the usage line)
 COMMANDS = {
     "classify": ("regime of the linear system", cmd_classify, (
-        DELTA, CHI, Option("tol", float, 1e-9))),
+        DELTA, CHI, Option("tol", float, THRESHOLD_BAND))),
     "evolve": ("time series of correlations", cmd_evolve, (
         DELTA, CHI, ALPHA2, PHI, Option("t_start", float, 0.05),
         Option("t_end", float, 6.0), Option("steps", int, 120), PRESET)),
@@ -553,6 +559,11 @@ COMMANDS = {
 }
 
 
+# A token that starts "-<digit>" or "-.<digit>" is a value, never a flag, as
+# from Python 3.13 on: before it, "--delta -1e-3" read "-1e-3" as a flag.
+NEGATIVE_NUMBER = re.compile(r"-\.?\d")
+
+
 # One parser per process: each one built leaves cyclic garbage behind, so
 # repeated ``main`` calls would grow the heap until a collection runs.
 @functools.cache
@@ -564,6 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (text, _, options) in COMMANDS.items():
         p = sub.add_parser(command, help=text)
+        p._negative_number_matcher = NEGATIVE_NUMBER
         for opt in options:
             kind = "choices" if isinstance(opt.kind, tuple) else "type"
             p.add_argument("--" + opt.name.replace("_", "-"), help=opt.help,

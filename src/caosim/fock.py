@@ -18,13 +18,13 @@ is deterministic.
 
 Truncation is policed, not assumed, and the box grows with the state in one
 pass. After every substep the population in the top two levels of each mode
-is audited against a guard 100x below ``tail_tol``. A substep that passes is
-kept. One that does not is discarded: the state before it is zero-padded on
-the violating side, by about a quarter (a multiple of 8 levels), the
-Hamiltonian is rebuilt, and the substep is planned again from the same time.
-Unstable regimes grow excitation numbers exponentially in time, so early
-times run in small boxes and nothing is evolved twice. The box stops growing
-at the product dimension cap.
+is audited against a guard 100x below the tail tolerance ``_TAIL_TOL``
+(1e-8). A substep that passes is kept. One that does not is discarded: the
+state before it is zero-padded on the violating side, by about a quarter (a
+multiple of 8 levels), the Hamiltonian is rebuilt, and the substep is planned
+again from the same time. Unstable regimes grow excitation numbers
+exponentially in time, so early times run in small boxes and nothing is
+evolved twice. The box stops growing at the product dimension cap.
 """
 
 from __future__ import annotations
@@ -63,26 +63,27 @@ _BESSEL_CUT = 1e-17
 # (-i)^k by k mod 4, exact
 _POWERS_OF_MINUS_I = (1.0, -1j, -1.0, 1j)
 
+# Most population that a trusted state may hold in the top two levels of each
+# mode, and that a coherent seed may lose past its box.
+_TAIL_TOL = 1e-8
+
 # A substep is kept while the top two levels of each mode hold at most this
-# share of ``tail_tol``. The slack keeps what leaks past the box within one
+# share of ``_TAIL_TOL``. The slack keeps what leaks past the box within one
 # substep far below the tolerance that the result is audited at.
 _GUARD = 1e-2
 
 
 @dataclass(frozen=True)
 class FockConfig:
-    """Truncation sizes and the admissible tail population."""
+    """Truncation sizes and the cap on their product dimension."""
 
     nmax_atom: int = 16
     nmax_phot: int = 16
-    tail_tol: float = 1e-8
     dim_cap: int = 1 << 18
 
     def __post_init__(self):
         if self.nmax_atom < 2 or self.nmax_phot < 2:
             raise InvalidParameterError("truncation dimensions must be >= 2")
-        if not 0.0 < self.tail_tol <= 1e-4:
-            raise InvalidParameterError("tail_tol must be in (0, 1e-4]")
 
     @property
     def dim(self) -> int:
@@ -106,7 +107,7 @@ def coherent_fock(amp: float, phase: float, cfg: FockConfig) -> FockState:
     """Atomic vacuum tensor truncated coherent state alpha = amp e^{-i phase}.
 
     Raises :class:`TruncationError` when the photon side of ``cfg`` cannot
-    hold the state: more than ``tail_tol`` lies past it, or ``|alpha|^2``
+    hold the state: more than ``_TAIL_TOL`` lies past it, or ``|alpha|^2``
     exceeds a quarter of it.
     """
     intensity = amp**2
@@ -116,9 +117,9 @@ def coherent_fock(amp: float, phase: float, cfg: FockConfig) -> FockState:
             "(needs |alpha|^2 <= nmax_phot/4)"
         )
     psi = _coherent(amp, phase, cfg)
-    if psi.tail_mass > cfg.tail_tol:
+    if psi.tail_mass > _TAIL_TOL:
         raise TruncationError(
-            f"coherent tail mass {psi.tail_mass:.3e} exceeds tail_tol {cfg.tail_tol:.1e}",
+            f"coherent tail mass {psi.tail_mass:.3e} exceeds tail_tol {_TAIL_TOL:.1e}",
             tail_mass=psi.tail_mass,
         )
     return psi
@@ -143,14 +144,12 @@ def _coherent(amp: float, phase: float, cfg: FockConfig) -> FockState:
     return FockState(amplitudes=amplitudes, tail_mass=max(tail, 0.0))
 
 
-def oracle_observables(
-    psi: FockState, t: float = 0.0, threshold: float = OCCUPATION_THRESHOLD
-) -> CorrelationRecord:
+def oracle_observables(psi: FockState, t: float = 0.0) -> CorrelationRecord:
     """Occupations, g2 correlators and bounds by direct ladder-operator action.
 
     Normally-ordered moments are diagonal in the number basis, so they reduce
-    to population-weighted sums. Undefined correlators (occupation below
-    ``threshold``) become None, mirroring the moment-pipeline policy.
+    to population-weighted sums. Undefined correlators (occupation at or
+    below ``OCCUPATION_THRESHOLD``) become None, as in the moment pipeline.
     """
     if not psi.trusted:
         raise TruncationError(
@@ -163,11 +162,11 @@ def oracle_observables(
     n1 = float(np.sum(n_atom * p))
     n3 = float(np.sum(n_phot * p))
     g11 = g33 = g13 = classical = quantum = None
-    if n1 > threshold:
+    if n1 > OCCUPATION_THRESHOLD:
         g11 = float(np.sum(n_atom * (n_atom - 1) * p)) / n1**2
-    if n3 > threshold:
+    if n3 > OCCUPATION_THRESHOLD:
         g33 = float(np.sum(n_phot * (n_phot - 1) * p)) / n3**2
-    if n1 > threshold and n3 > threshold:
+    if n1 > OCCUPATION_THRESHOLD and n3 > OCCUPATION_THRESHOLD:
         g13 = float(np.sum(n_atom * n_phot * p)) / (n1 * n3)
         classical = math.sqrt(g11 * g33)
         quantum = math.sqrt((g11 + 1.0 / n1) * (g33 + 1.0 / n3))
@@ -246,10 +245,10 @@ def _grow(amplitudes: np.ndarray, box: FockConfig) -> FockConfig | None:
 
     A side needs more levels when its top two hold more than the guard. At the
     dimension cap the box keeps its size while the tails stay within
-    ``tail_tol``, and :class:`TruncationError` is raised once they do not.
+    ``_TAIL_TOL``, and :class:`TruncationError` is raised once they do not.
     """
     atom, phot = _tails(amplitudes)
-    guard = _GUARD * box.tail_tol
+    guard = _GUARD * _TAIL_TOL
     if max(atom, phot) <= guard:
         return None
     # about a quarter more levels on each violating side, a multiple of 8
@@ -258,7 +257,7 @@ def _grow(amplitudes: np.ndarray, box: FockConfig) -> FockConfig | None:
     grown = replace(box, nmax_atom=nmax_atom, nmax_phot=nmax_phot)
     if grown.dim <= box.dim_cap:
         return grown
-    if max(atom, phot) <= box.tail_tol:
+    if max(atom, phot) <= _TAIL_TOL:
         return None
     raise TruncationError(
         f"adaptive truncation needs {grown.nmax_atom}x{grown.nmax_phot} "
@@ -397,7 +396,7 @@ def evolve_fock(
 
     Raises :class:`TruncationError` when the starting box passes
     ``cfg.dim_cap``, when the state needs a box past it while a tail passes
-    ``tail_tol``, when the evolution needs more than ``_MAX_STEPS`` substeps
+    ``_TAIL_TOL``, when the evolution needs more than ``_MAX_STEPS`` substeps
     in all, or when a Hamiltonian 1-norm or step count is past the range of
     doubles. Substeps are planned from the current box, and the 1-norm only
     grows with the box, so the budget can refuse before any step is taken.
@@ -451,7 +450,7 @@ def evolve_fock(
             FockState(
                 amplitudes=amplitudes,
                 tail_mass=tail,
-                trusted=tail <= cfg.tail_tol,
+                trusted=tail <= _TAIL_TOL,
             )
         )
     return states

@@ -39,6 +39,11 @@ CONJUGATION_PERM = np.array(
 )
 
 
+#: The roundoff band of the threshold surfaces: the default ``tol`` of
+#: :func:`classify_regime`, which ``threshold_g2`` and ``caosim classify`` use.
+THRESHOLD_BAND = 1e-9
+
+
 class Regime(enum.Enum):
     """Stability class of the eigenfrequency spectrum."""
 
@@ -178,7 +183,7 @@ def _critical_condition(d, chi, tol: float) -> ThresholdKind | None:
 
 
 @np.errstate(over="raise")  # no intermediate may pass the range of doubles
-def classify_regime(gen: DriftGenerator, tol: float = 1e-9) -> RegimeReport:
+def classify_regime(gen: DriftGenerator, tol: float = THRESHOLD_BAND) -> RegimeReport:
     """Classify the stability regime from the characteristic polynomial of M.
 
     The eigenfrequencies solve w^4 - (1 + delta^2) w^2 + delta (delta - 4 chi^2)

@@ -116,20 +116,18 @@ def _numerator(s: GaussianState, indices, norm) -> np.ndarray:
     return value.real
 
 
-def records(
-    s: GaussianState, t, threshold: float = OCCUPATION_THRESHOLD
-) -> CorrelationRecord:
+def records(s: GaussianState, t) -> CorrelationRecord:
     """Every observable of ``s``, elementwise over its batch axes.
 
     The fields are arrays of the batch shape (``t`` is passed through), and a
     correlator is NaN where an occupation it is normalized by is at or below
-    ``threshold`` (0/0).
+    ``OCCUPATION_THRESHOLD`` (0/0).
     """
     n1 = occupation(s, "atomic")
     n3 = occupation(s, "optical")
     # NaN marks an undefined normalization and propagates to every quotient.
-    m1 = np.where(n1 > threshold, n1, np.nan)[()]
-    m3 = np.where(n3 > threshold, n3, np.nan)[()]
+    m1 = np.where(n1 > OCCUPATION_THRESHOLD, n1, np.nan)[()]
+    m3 = np.where(n3 > OCCUPATION_THRESHOLD, n3, np.nan)[()]
     g11 = _numerator(s, (ATOM_DAG, ATOM_DAG, ATOM, ATOM), m1) / m1**2
     g33 = _numerator(s, (LIGHT_DAG, LIGHT_DAG, LIGHT, LIGHT), m3) / m3**2
     g13 = _numerator(s, (ATOM_DAG, ATOM, LIGHT_DAG, LIGHT), m1 * m3) / (m1 * m3)
@@ -138,11 +136,10 @@ def records(
     return CorrelationRecord(t, n1, n3, g11, g33, g13, classical, quantum)
 
 
-def correlation_record(
-    s: GaussianState, t: float, threshold: float = OCCUPATION_THRESHOLD
-) -> CorrelationRecord:
-    """Evaluate every observable of one state, mapping undefined correlators to None."""
-    rec = records(s, t, threshold)
+def correlation_record(s: GaussianState, t: float) -> CorrelationRecord:
+    """Evaluate every observable of one state, mapping undefined correlators
+    (occupation at or below ``OCCUPATION_THRESHOLD``) to None."""
+    rec = records(s, t)
     values = (float(getattr(rec, name)) for name in CorrelationRecord.field_names()[1:])
     return CorrelationRecord(t, *(None if math.isnan(v) else v for v in values))
 
@@ -179,19 +176,14 @@ def evaluate(gen, s0: GaussianState, times) -> tuple[CorrelationRecord, int]:
     return rec, int(_first(over))
 
 
-def threshold_g2(
-    params: ModelParams,
-    init: OpticalInit,
-    delta_c: float,
-    tol: float = 1e-9,
-) -> float:
+def threshold_g2(params: ModelParams, init: OpticalInit, delta_c: float) -> float:
     """Closed-form asymptotic g2 on the instability thresholds delta_c in {0, 4 chi^2}.
 
-    :func:`classify_regime`, with ``tol``, must put ``delta_c`` on one of those
-    two surfaces and ``params`` on the same one. On those critical surfaces
-    the field amplitudes grow linearly in time and both single-mode
-    correlations approach the same constant, which lies in [1, 3] for every
-    intensity and phase.
+    :func:`classify_regime`, with its default band ``THRESHOLD_BAND``, must
+    put ``delta_c`` on one of those two surfaces and ``params`` on the same
+    one. On those critical surfaces the field amplitudes grow linearly in
+    time and both single-mode correlations approach the same constant, which
+    lies in [1, 3] for every intensity and phase.
     """
     chi = params.chi
     if chi <= 0:
@@ -201,7 +193,7 @@ def threshold_g2(
     chi2 = chi**2 if chi < 1e154 else math.inf
 
     def surface(delta):
-        return classify_regime(build_generator(ModelParams(delta, chi)), tol).threshold_kind
+        return classify_regime(build_generator(ModelParams(delta, chi))).threshold_kind
 
     kind = surface(delta_c)
     if kind not in (ThresholdKind.DELTA_ZERO, ThresholdKind.DELTA_FOUR_CHI_SQ):
@@ -341,12 +333,14 @@ def long_time_scan(windows: LongTimeWindows, amps, phis, modes=MODES) -> LongTim
     - before that, an overflow in a window the cell reaches, and then a 0/0
       of a mode that has not converged before that window, end the cell.
     """
-    amps, phis = np.broadcast_arrays(amps, phis)
-    shape = amps.shape
+    # coherent_states broadcasts the seeds without views: numpy keeps some
+    # heap for each view that np.broadcast_arrays makes writeable
+    seeds = coherent_states(amps, phis)
+    shape = seeds.mean.shape[:-1]
     g, smat = windows.ladder
     nw, ns = windows.times.shape
-    cells = np.arange(amps.size)
-    s0 = coherent_states(amps.reshape(-1, 1, 1, 1), phis.reshape(-1, 1, 1, 1))
+    cells = np.arange(math.prod(shape))
+    s0 = GaussianState(seeds.mean.reshape(-1, 1, 1, 1, 4), seeds.smat)
     with np.errstate(over="ignore", invalid="ignore"):
         # (cells, W, S, 1, 4) means against the (W, S) ladder, then one record
         mean = evolve(s0, g, smat).mean[..., 0, :]

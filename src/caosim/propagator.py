@@ -148,12 +148,7 @@ class Propagator:
     generator: DriftGenerator
 
 
-def green_stack(
-    gen: DriftGenerator,
-    times,
-    entry_cap: float = DEFAULT_ENTRY_CAP,
-    strict: bool = True,
-) -> Propagator:
+def green_stack(gen: DriftGenerator, times, *, strict: bool = True) -> Propagator:
     """Compute G(t) = exp(i M t) for every time of ``times``, of any shape.
 
     The closed form of the module docstring covers the whole stack: the
@@ -163,10 +158,10 @@ def green_stack(
     ``times.shape + (4, 4)``.
 
     Raises :class:`PropagatorOverflowError` for the first time, in C order,
-    at which any entry magnitude exceeds ``entry_cap`` or is not finite: that
-    time is too deep into exponential instability for raw moments to be
-    representable. With ``strict=False`` the slice of such a time is NaN
-    instead, so everything computed from it is NaN.
+    at which any entry magnitude exceeds ``DEFAULT_ENTRY_CAP`` or is not
+    finite: that time is too deep into exponential instability for raw
+    moments to be representable. With ``strict=False`` the slice of such a
+    time is NaN instead, so everything computed from it is NaN.
     """
     times = np.asarray(times, dtype=float)
     flat = times.reshape(-1)
@@ -186,12 +181,12 @@ def green_stack(
         gmat.imag = im.T
         gmat = gmat.reshape(-1, 4, 4)
         max_entry = np.max(np.abs(gmat), axis=(-2, -1), initial=0.0)
-    over = ~(max_entry <= entry_cap)
+    over = ~(max_entry <= DEFAULT_ENTRY_CAP)
     if over.any():
         k = int(np.argmax(over))
         if strict:
             raise PropagatorOverflowError(
-                t=float(flat[k]), max_entry=float(max_entry[k]), cap=entry_cap
+                t=float(flat[k]), max_entry=float(max_entry[k]), cap=DEFAULT_ENTRY_CAP
             )
         gmat[over] = np.nan
     gmat = gmat.reshape(times.shape + (4, 4))
@@ -199,17 +194,15 @@ def green_stack(
     return Propagator(t=times, gmat=gmat, generator=gen)
 
 
-def green_function(
-    gen: DriftGenerator, t: float, entry_cap: float = DEFAULT_ENTRY_CAP
-) -> Propagator:
+def green_function(gen: DriftGenerator, t: float) -> Propagator:
     """Compute G(t) = exp(i M t) at one time: the one-time view of
     :func:`green_stack`, with ``gmat`` of shape ``[4, 4]``.
 
     Raises :class:`InvalidParameterError` for a non-finite ``t``, and
     :class:`PropagatorOverflowError` when any entry magnitude exceeds
-    ``entry_cap``.
+    ``DEFAULT_ENTRY_CAP``.
     """
-    return Propagator(t=t, gmat=green_stack(gen, t, entry_cap).gmat, generator=gen)
+    return Propagator(t=t, gmat=green_stack(gen, t).gmat, generator=gen)
 
 
 def _largest_finite(residual: np.ndarray, scale=1.0) -> float:

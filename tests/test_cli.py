@@ -28,6 +28,7 @@ from caosim import (
     PropagatorOverflowError,
     UndefinedCorrelationError,
     build_generator,
+    classify_regime,
     cli,
     correlation_record,
     evolve,
@@ -37,7 +38,7 @@ from caosim import (
     observables,
 )
 from caosim.observables import CorrelationRecord, long_time_g2, threshold_g2
-from caosim.model import ModelParams
+from caosim.model import THRESHOLD_BAND, ModelParams, ThresholdKind
 from caosim.fock import FockConfig
 from caosim.gaussian import OpticalInit
 
@@ -434,6 +435,30 @@ def test_strong_coupling_does_not_widen_the_delta_zero_band():
     assert text.splitlines()[0] == "regime: ii"
     code, text = run_cli(["threshold", "--delta-c", "1", "--chi", "2e4", "--alpha2", "1"])
     assert (code, text) == (cli.EXIT_USAGE, "")
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(
+    chi=st.floats(1e-3, 10.0),
+    surface=st.sampled_from(["delta=0", "delta=4*chi^2"]),
+    frac=st.floats(-3.0, 3.0),
+)
+def test_cli_and_library_share_one_band(chi, surface, frac):
+    # points inside and just outside the band of each surface that
+    # threshold_g2 takes: the CLI's defaults classify them as the library's do
+    delta_c = 0.0 if surface == "delta=0" else 4.0 * chi**2
+    scale = 1.0 if surface == "delta=0" else max(1.0, delta_c)
+    delta = delta_c + frac * THRESHOLD_BAND * scale
+    report = classify_regime(build_generator(ModelParams(delta, chi)))
+    label = f"regime: {report.regime.value}"
+    if report.threshold_kind is not None:
+        label += f" (threshold {report.threshold_kind.value})"
+    code, text = run_cli(["classify", "--delta", repr(delta), "--chi", repr(chi)])
+    assert (code, text.splitlines()[0]) == (cli.EXIT_OK, label)
+    on_surface = report.threshold_kind in (ThresholdKind.DELTA_ZERO,
+                                           ThresholdKind.DELTA_FOUR_CHI_SQ)
+    code, _ = run_cli(["threshold", "--delta-c", repr(delta), "--chi", repr(chi)])
+    assert code == (cli.EXIT_OK if on_surface else cli.EXIT_USAGE)
 
 
 @pytest.mark.parametrize(
@@ -937,6 +962,37 @@ def test_main_leaves_no_cyclic_garbage(argv):
     assert code == cli.EXIT_OK
 
 
+def test_repeated_sweeps_leave_no_broadcast_views_behind():
+    # numpy keeps a little heap for each view that np.broadcast_arrays makes
+    # writeable; every table is built from columns of different shapes, and
+    # a scan may take a grid of seeds, so each such call grew the heap
+    argvs = [["sweep", "--delta", "1", "--chi", "1", "--alpha2-count", "3",
+              "--phi-count", "4"], longtime_argv(1.0, 1.0, 0.0, 9.0, 2, 3)]
+    windows = observables.LongTimeWindows(ModelParams(1.0, 1.0))
+    amps, phis = np.array([[0.5], [1.0]]), np.array([0.1, 0.2, 0.3])
+
+    def calls():
+        for argv in argvs:
+            assert run_cli(argv)[0] == cli.EXIT_OK
+        observables.long_time_scan(windows, amps, phis)
+
+    calls()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.take_snapshot()
+        for _ in range(10):
+            calls()
+        gc.collect()
+        after = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    numpy_broadcast = [tracemalloc.Filter(True, "*stride_tricks*")]
+    growth = after.filter_traces(numpy_broadcast).compare_to(
+        before.filter_traces(numpy_broadcast), "filename")
+    assert sum(stat.size_diff for stat in growth) <= 0, growth
+
+
 @pytest.mark.parametrize("span", [["--t-end=inf"], ["--t-start=-inf"], ["--t-end=nan"]])
 def test_evolve_nonfinite_time_span_is_usage_error(span):
     with warnings.catch_warnings():
@@ -1120,14 +1176,26 @@ FUZZ_COMMANDS = {
 def test_fuzz_error_contract(command, data):
     fixed, required, optional = FUZZ_COMMANDS[command]
     value = st.sampled_from(FUZZ_VALUES)
-    argv = list(fixed)
-    for flag in required:
-        argv.append(f"--{flag}={data.draw(value, label=flag)}")
+    flags = [(flag, data.draw(value, label=flag)) for flag in required]
     for flag in optional:
         drawn = data.draw(st.none() | value, label=flag)
         if drawn is not None:
-            argv.append(f"--{flag}={drawn}")
-    assert_error_contract(argv)
+            flags.append((flag, drawn))
+    joined = [*fixed, *(f"--{flag}={drawn}" for flag, drawn in flags)]
+    outcome = assert_error_contract(joined)
+    # "--flag value" reads a value as "--flag=value" does, "-1e-308" included;
+    # only "-inf" reads as a flag, a usage error either way
+    split = [*fixed, *(arg for pair in flags for arg in ("--" + pair[0], pair[1]))]
+    assert run_split_cli(split) == outcome, split
+
+
+def run_split_cli(argv):
+    """``run_cli``, with a usage error of argparse, which exits, as its code."""
+    try:
+        return run_cli(argv)
+    except SystemExit as exc:
+        assert exc.code == cli.EXIT_USAGE, argv
+        return exc.code, ""
 
 
 def assert_error_contract(argv, context=None):
@@ -1138,7 +1206,7 @@ def assert_error_contract(argv, context=None):
                     cli.EXIT_NUMERICAL), (argv, context)
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], (argv, context)
     assert not re.search(r"(?i)\b(nan|inf|infinity)\b", text), (argv, context, text)
-    return code
+    return code, text
 
 
 # The same gate through --config files: the values above and values of the
@@ -1165,6 +1233,6 @@ def test_fuzz_error_contract_through_config_files(command, data, tmp_path_factor
         lines.insert(data.draw(st.integers(0, len(lines))), data.draw(st.sampled_from(NOT_UTF8)))
     path = tmp_path_factory.getbasetemp() / f"fuzz-{command}.cfg"
     path.write_bytes(b"".join(lines))
-    code = assert_error_contract([*fixed, "--config", str(path)], lines)
+    code, _ = assert_error_contract([*fixed, "--config", str(path)], lines)
     if any(line in NOT_UTF8 for line in lines):
         assert code == cli.EXIT_USAGE, lines

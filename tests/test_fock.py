@@ -332,8 +332,6 @@ def test_adaptive_growth_hits_cap():
 def test_config_validation():
     with pytest.raises(InvalidParameterError):
         FockConfig(1, 8)
-    with pytest.raises(InvalidParameterError):
-        FockConfig(8, 8, tail_tol=1e-3)
 
 
 @pytest.mark.parametrize("delta,chi", [(1, 1), (-1, 1), (0, 1), (2, 0.3)])
